@@ -2,6 +2,7 @@ package bench
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -96,5 +97,34 @@ func TestReadBenchJSONRoundTrip(t *testing.T) {
 	}
 	if len(out) != 1 || out[0] != in[0] {
 		t.Fatalf("round trip mismatch: %+v", out)
+	}
+}
+
+// ParseGoBench strips the GOMAXPROCS suffix `go test` adds on multi-core
+// hosts, so a 4-core run compares against baseline names; names without
+// a suffix (GOMAXPROCS=1) and dashes inside names are left alone.
+func TestParseGoBenchStripsProcsSuffix(t *testing.T) {
+	out := `goos: linux
+BenchmarkUnorderedMapFindRemote-4   	 1000000	      852.3 ns/op	     128 B/op	      12 allocs/op
+BenchmarkRoundTrip/mux/64B-16       	  340713	      3725 ns/op	      83 B/op	       1 allocs/op
+BenchmarkCuckooInsert               	 1000000	     785.7 ns/op	      91 B/op	       1 allocs/op
+BenchmarkFig6a/parts-x-2           	     100	       1.0 ns/op
+PASS`
+	got, err := ParseGoBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"BenchmarkUnorderedMapFindRemote", "BenchmarkRoundTrip/mux/64B", "BenchmarkCuckooInsert", "BenchmarkFig6a/parts-x"}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d results: %+v", len(got), got)
+	}
+	for i, w := range want {
+		if got[i].Name != w {
+			t.Errorf("result %d name %q, want %q", i, got[i].Name, w)
+		}
+	}
+	base := []BenchResult{{Name: "BenchmarkUnorderedMapFindRemote", NsPerOp: 852.3, AllocsPerOp: 12}}
+	if regs, missing := CompareBench(base, got[:1], 0.25); len(regs) != 0 || len(missing) != 0 {
+		t.Fatalf("suffixed result did not match its baseline: regressions %v, missing %v", regs, missing)
 	}
 }

@@ -25,6 +25,9 @@ type BenchResult struct {
 // skipped, so the whole tee'd output of `make bench` can be fed through
 // unfiltered. Unknown unit columns (e.g. MB/s from b.SetBytes) are
 // ignored rather than erroring, keeping the parser open to new metrics.
+// The "-N" GOMAXPROCS suffix `go test` appends on multi-core hosts is
+// stripped, so names match the baseline on any core count (benchmark
+// names must therefore not end in "-<digits>" themselves).
 func ParseGoBench(r io.Reader) ([]BenchResult, error) {
 	var out []BenchResult
 	sc := bufio.NewScanner(r)
@@ -38,7 +41,7 @@ func ParseGoBench(r io.Reader) ([]BenchResult, error) {
 		if err != nil {
 			continue // "BenchmarkX ... FAIL" and friends
 		}
-		br := BenchResult{Name: f[0], Runs: runs}
+		br := BenchResult{Name: stripProcs(f[0]), Runs: runs}
 		for i := 2; i+1 < len(f); i += 2 {
 			switch f[i+1] {
 			case "ns/op":
@@ -52,6 +55,21 @@ func ParseGoBench(r io.Reader) ([]BenchResult, error) {
 		out = append(out, br)
 	}
 	return out, sc.Err()
+}
+
+// stripProcs removes a trailing "-N" GOMAXPROCS suffix from a benchmark
+// name.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // MedianBench collapses repeated measurements of the same benchmark

@@ -338,29 +338,34 @@ func (m *CuckooMap[K, V]) tryUpdate(k K, fn func(old V, exists bool) V) (updated
 
 // tryInsertAbsent inserts e only into an empty candidate slot. done=false
 // means the slots are occupied (possibly by the key itself now) and the
-// caller must rescan; inserted reports success.
+// caller must rescan; inserted reports success. A lost CAS reloads both
+// slots before trying again: the winner may have stored this very key,
+// and CASing the other slot against a stale nil would store it twice.
 func (m *CuckooMap[K, V]) tryInsertAbsent(e *cuckooEntry[K, V]) (inserted, done bool) {
 	m.latch.RLock()
 	defer m.latch.RUnlock()
 	t := m.tab.Load()
 	s1 := &t.b1[m.h1(e.k)&t.mask]
 	s2 := &t.b2[m.h2(e.k)&t.mask]
-	e1, e2 := s1.Load(), s2.Load()
-	if (e1 != nil && e1.k == e.k) || (e2 != nil && e2.k == e.k) {
-		return false, false // key reappeared; caller re-runs the update path
+	for {
+		e1, e2 := s1.Load(), s2.Load()
+		switch {
+		case (e1 != nil && e1.k == e.k) || (e2 != nil && e2.k == e.k):
+			return false, false // key reappeared; caller re-runs the update path
+		case e1 == nil:
+			if s1.CompareAndSwap(nil, e) {
+				return true, true
+			}
+		case e2 == nil:
+			if s2.CompareAndSwap(nil, e) {
+				return true, true
+			}
+		default:
+			// Both occupied by other keys: fall back to the displacing
+			// slow path, which re-checks for the key under the latch.
+			return false, false
+		}
 	}
-	if e1 == nil && s1.CompareAndSwap(nil, e) {
-		return true, true
-	}
-	if e2 == nil && s2.CompareAndSwap(nil, e) {
-		return true, true
-	}
-	if e1 != nil && e2 != nil {
-		// Both occupied by other keys: fall back to the displacing
-		// slow path, which re-checks for the key under the latch.
-		return false, false
-	}
-	return false, false
 }
 
 // Delete removes k, reporting whether it was present.

@@ -153,3 +153,56 @@ func TestUpsertMixedWithInsertDelete(t *testing.T) {
 		t.Fatalf("scan %d vs Len %d", n, m.Len())
 	}
 }
+
+// Racing upserts of the same absent keys must store each key exactly
+// once: a loser of the first-slot CAS rescans rather than claiming the
+// second slot with a stale view, which would leave two entries for one
+// key and split later merges between them.
+func TestUpsertConcurrentFreshKeysStoredOnce(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 200
+		keys    = 16
+	)
+	sum := func(old int, exists bool) int {
+		if exists {
+			return old + 1
+		}
+		return 1
+	}
+	m := NewCuckooMapSize[int, int](rounds * keys * 2)
+	for r := 0; r < rounds; r++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for k := r * keys; k < (r+1)*keys; k++ {
+					m.Upsert(k, sum)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	seen := make(map[int]int)
+	total := 0
+	m.Range(func(k, v int) bool {
+		seen[k]++
+		total += v
+		return true
+	})
+	for k, n := range seen {
+		if n != 1 {
+			t.Fatalf("key %d stored %d times", k, n)
+		}
+	}
+	if len(seen) != rounds*keys || m.Len() != rounds*keys {
+		t.Fatalf("%d distinct keys, Len %d, want %d", len(seen), m.Len(), rounds*keys)
+	}
+	if total != workers*rounds*keys {
+		t.Fatalf("merged counts sum to %d, want %d calls", total, workers*rounds*keys)
+	}
+}

@@ -47,11 +47,16 @@ func (m *UnorderedMap[K, V]) InsertChained(r *cluster.Rank, k K, v V, callbacks 
 		return nil, err
 	}
 	chain := make([]string, 0, len(callbacks)+1)
-	chain = append(chain, m.fn("insert"))
+	chain = append(chain, m.fns.insert)
 	for _, cb := range callbacks {
 		chain = append(chain, "cb."+cb)
 	}
-	return m.rt.engine.InvokeChain(r, m.servers[p], chain, databox.EncodePair(kb, vb))
+	resp, err := m.rt.engine.InvokeChain(r, m.servers[p], chain, databox.EncodePair(kb, vb))
+	if err != nil {
+		return nil, err
+	}
+	// Insert alone answers with a shared reply; the caller owns its copy.
+	return append([]byte(nil), resp...), nil
 }
 
 // InsertChainedAsync is the future-returning form of InsertChained.
@@ -65,12 +70,12 @@ func (m *UnorderedMap[K, V]) InsertChainedAsync(r *cluster.Rank, k K, v V, callb
 		return immediateFuture[[]byte](nil, err)
 	}
 	chain := make([]string, 0, len(callbacks)+1)
-	chain = append(chain, m.fn("insert"))
+	chain = append(chain, m.fns.insert)
 	for _, cb := range callbacks {
 		chain = append(chain, "cb."+cb)
 	}
 	raw := m.rt.engine.InvokeChainAsync(r, m.servers[p], chain, databox.EncodePair(kb, vb))
-	return remoteFuture(raw, func(b []byte) ([]byte, error) { return b, nil })
+	return remoteFuture(raw, func(b []byte) ([]byte, error) { return append([]byte(nil), b...), nil })
 }
 
 var _ = ror.ErrUnbound // keep the ror import for the doc link above

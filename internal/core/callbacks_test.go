@@ -106,3 +106,51 @@ var errTest = errForTest{}
 type errForTest struct{}
 
 func (errForTest) Error() string { return "test failure" }
+
+// Writing into a callback's input or a chained call's result must not
+// change the replies of later operations: handlers may answer with
+// shared reply bytes, and the chain path hands out copies.
+func TestChainedBytesDoNotAliasReplies(t *testing.T) {
+	w, rt, _ := newTestWorld(t, 2, 1)
+	m, err := NewUnorderedMap[string, int](rt, "cbalias", WithServers([]int{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.BindCallback("scribble", func(node int, prev []byte) ([]byte, error) {
+		for i := range prev {
+			prev[i] ^= 0xff
+		}
+		return prev, nil
+	})
+	r := w.Rank(0)
+	if _, err := m.InsertChained(r, "a", 1, "scribble"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := m.InsertChained(r, "b", 2)
+	if err != nil || len(resp) != 1 || resp[0] != 1 {
+		t.Fatalf("InsertChained without callbacks = %v, %v", resp, err)
+	}
+	resp[0] = 0
+	fut := m.InsertChainedAsync(r, "c", 3)
+	resp, err = fut.Wait(r)
+	if err != nil || len(resp) != 1 || resp[0] != 1 {
+		t.Fatalf("InsertChainedAsync = %v, %v", resp, err)
+	}
+	resp[0] = 0
+
+	if isNew, err := m.Insert(r, "d", 4); err != nil || !isNew {
+		t.Fatalf("Insert of a fresh key = %v, %v", isNew, err)
+	}
+	if isNew, err := m.Insert(r, "d", 5); err != nil || isNew {
+		t.Fatalf("Insert of a stored key = %v, %v", isNew, err)
+	}
+	if _, ok, err := m.Find(r, "missing"); err != nil || ok {
+		t.Fatalf("Find of a missing key = %v, %v", ok, err)
+	}
+	if ok, err := m.Erase(r, "d"); err != nil || !ok {
+		t.Fatalf("Erase of a stored key = %v, %v", ok, err)
+	}
+	if ok, err := m.Erase(r, "d"); err != nil || ok {
+		t.Fatalf("Erase of an erased key = %v, %v", ok, err)
+	}
+}

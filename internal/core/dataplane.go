@@ -35,18 +35,6 @@ func newPlane(rt *Runtime, kind, name string, servers []int, o options, mirror b
 	})
 }
 
-// dpApply wraps a mutation's primary-side apply closure in the plane's
-// lease-revocation + mirror-publish critical section. With a nil plane the
-// closure is returned untouched. The wrapper composes with replication:
-// passed into replGroup.mutate it runs only when the quorum admitted the
-// mutation, so a degraded write disturbs no lease and no mirror slot.
-func dpApply(pl *dataplane.Plane, p int, kb []byte, act dataplane.PubAction, vb []byte, apply func() bool) func() bool {
-	if pl == nil {
-		return apply
-	}
-	return func() bool { return pl.WrapMutation(p, kb, act, vb, apply) }
-}
-
 // dpRouteRead routes one read on partition p and, when the one-sided path
 // is chosen, attempts the mirror read. It returns the mirrored encoded
 // value and true on a validated hit; false sends the caller down the

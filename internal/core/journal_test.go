@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hcl/internal/databox"
 	"hcl/internal/memory"
 )
 
@@ -396,5 +397,45 @@ func TestJournalGrownFileSurvivesReopen(t *testing.T) {
 	}
 	if count != n {
 		t.Fatalf("reopened replay kept %d of %d records", count, n)
+	}
+}
+
+// bincViaCodec is binc behind the Codec interface, so a Box built with it
+// takes the reflective encoder rather than the direct string/[]byte path.
+type bincViaCodec struct{ databox.Codec }
+
+// TestJournalFromReflectivePathReplays: records written by reflective
+// binc replay through the default codec's direct string and []byte path,
+// so journals written before that path existed still open — the two
+// produce the same bytes.
+func TestJournalFromReflectivePathReplays(t *testing.T) {
+	dir := t.TempDir()
+	want := map[string][]byte{"alpha": []byte("one"), "": {}, "long-" + strings.Repeat("k", 300): nil}
+	w, rt, _ := newTestWorld(t, 1, 1)
+	m, err := NewUnorderedMap[string, []byte](rt, "jcompat",
+		WithPersistence(dir, memory.SyncEager), WithCodec(bincViaCodec{databox.Binc()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range want {
+		if _, err := m.Insert(w.Rank(0), k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.CloseJournals(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, rt2, _ := newTestWorld(t, 1, 1)
+	m2, err := NewUnorderedMap[string, []byte](rt2, "jcompat", WithPersistence(dir, memory.SyncEager))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.CloseJournals()
+	for k, v := range want {
+		got, ok, err := m2.Find(w2.Rank(0), k)
+		if err != nil || !ok || !bytes.Equal(got, v) || (got == nil) != (v == nil) {
+			t.Fatalf("replayed %q = %q,%v,%v, want %q", k, got, ok, err, v)
+		}
 	}
 }

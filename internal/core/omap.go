@@ -10,6 +10,7 @@ import (
 	"hcl/internal/databox"
 	"hcl/internal/dataplane"
 	"hcl/internal/fabric"
+	"hcl/internal/ror"
 )
 
 // Less orders keys; HCL defaults to natural ordering for Go's ordered
@@ -26,6 +27,7 @@ type Less[K any] func(a, b K) bool
 // operations cost one invocation like every other container.
 type Map[K comparable, V any] struct {
 	rt      *Runtime
+	fns     keyedVerbs
 	name    string
 	opt     options
 	servers []int
@@ -63,6 +65,7 @@ func NewMap[K comparable, V any](rt *Runtime, name string, less Less[K], opts ..
 	}
 	m := &Map[K, V]{
 		rt:      rt,
+		fns:     newKeyedVerbs("omap", name),
 		name:    name,
 		opt:     o,
 		servers: servers,
@@ -79,7 +82,7 @@ func NewMap[K comparable, V any](rt *Runtime, name string, less Less[K], opts ..
 	// Replica copies live in hash maps even for ordered containers: the
 	// copy only serves point lookups and repair snapshots, never ordered
 	// scans, so the cheaper structure wins.
-	m.repl = newReplGroup(rt, name, m.fn(""), servers, m.byNode,
+	m.repl = newReplGroup(rt, name, m.fns.prefix, servers, m.byNode,
 		func(p int) replPart[K, V] { return m.parts[p] },
 		m.kbox, m.vbox, false, o)
 	// Ordered partitions get routing + leases but no slot mirror: their
@@ -88,7 +91,7 @@ func NewMap[K comparable, V any](rt *Runtime, name string, less Less[K], opts ..
 	m.dp = newPlane(rt, "omap", name, servers, o, false)
 	m.bind()
 	if m.dp != nil {
-		rt.engine.SetReadThrough(m.fn("find"), func(arg []byte) ([]byte, bool) {
+		rt.engine.SetReadThrough(m.fns.find, func(arg []byte) ([]byte, bool) {
 			p := int(StableHash64(arg) % uint64(len(servers)))
 			vb, ok, hit := m.dp.CacheGet(p, arg, 0)
 			if !hit {
@@ -116,10 +119,13 @@ func (m *Map[K, V]) Name() string { return m.name }
 // Partitions reports the number of partitions.
 func (m *Map[K, V]) Partitions() int { return len(m.servers) }
 
-func (m *Map[K, V]) fn(op string) string { return "omap." + m.name + "." + op }
-
 func (m *Map[K, V]) partitionOf(k K) (int, []byte, error) {
-	kb, err := m.kbox.Encode(k)
+	return m.partitionOnto(nil, k)
+}
+
+// partitionOnto is partitionOf encoding the key onto buf[:0].
+func (m *Map[K, V]) partitionOnto(buf []byte, k K) (int, []byte, error) {
+	kb, err := m.kbox.AppendEncode(buf[:0], k)
 	if err != nil {
 		return 0, nil, fmt.Errorf("hcl: %s: encode key: %w", m.name, err)
 	}
@@ -138,7 +144,7 @@ func logCost(base int64, n int) int64 {
 func (m *Map[K, V]) bind() {
 	e := m.rt.engine
 	cm := m.rt.model
-	e.Bind(m.fn("insert"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, m.fns.insert, func(node int, arg []byte) ([]byte, int64) {
 		p := m.byNode[node]
 		kb, vb, err := databox.DecodePair(arg)
 		if err != nil {
@@ -155,52 +161,48 @@ func (m *Map[K, V]) bind() {
 		part := m.parts[p]
 		// Table I: insert = F + L*log(N) + W.
 		cost := logCost(cm.TreeOpNS, part.Len()) + cm.MemTime(len(arg))
-		apply := dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
-			return part.Insert(k, v)
-		})
+		apply := func() bool {
+			return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
+				return part.Insert(k, v)
+			})
+		}
 		if m.repl == nil {
-			return boolByte(apply()), cost
+			return boolReply(apply()), cost
 		}
 		isNew, fcost, rerr := m.repl.mutate(p, replPut, kb, vb, apply)
-		return mutResp(isNew, rerr), cost + fcost
+		return mutReply(isNew, rerr), cost + fcost
 	})
-	e.Bind(m.fn("find"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, m.fns.find, func(node int, arg []byte) ([]byte, int64) {
 		p := m.byNode[node]
 		if m.repl != nil && m.repl.isDead(p) {
 			// Crashed, awaiting repair: the wiped primary must not serve
 			// reads. The marker sends the client to a replica.
-			return deadResp(), cm.LocalOpNS
+			return deadReply(), cm.LocalOpNS
 		}
 		k, err := m.kbox.Decode(arg)
 		if err != nil {
 			panic(err)
 		}
 		part := m.parts[p]
-		read := func() ([]byte, bool) {
-			v, ok := part.Find(k)
-			if !ok {
+		// The reply is built once: [status][found][value].
+		var out []byte
+		_, ok := m.dp.GrantRead(p, arg, func() ([]byte, bool) {
+			v, found := part.Find(k)
+			if !found {
 				return nil, false
 			}
-			vb, err := m.vbox.Encode(v)
-			if err != nil {
+			if out, err = foundReply(m.vbox, v); err != nil {
 				panic(err)
 			}
-			return vb, true
-		}
-		var vb []byte
-		var ok bool
-		if m.dp != nil {
-			vb, ok = m.dp.GrantRead(p, arg, read)
-		} else {
-			vb, ok = read()
-		}
+			return out[2:], true
+		})
 		cost := logCost(cm.TreeOpNS, part.Len())
 		if !ok {
-			return []byte{0}, cost
+			return replyFalse, cost
 		}
-		return append([]byte{1}, vb...), cost + cm.MemTime(len(vb))
+		return out, cost + cm.MemTime(len(out)-2)
 	})
-	e.Bind(m.fn("erase"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, m.fns.erase, func(node int, arg []byte) ([]byte, int64) {
 		p := m.byNode[node]
 		k, err := m.kbox.Decode(arg)
 		if err != nil {
@@ -208,22 +210,24 @@ func (m *Map[K, V]) bind() {
 		}
 		part := m.parts[p]
 		cost := logCost(cm.TreeOpNS, part.Len())
-		apply := dpApply(m.dp, p, arg, dataplane.PubClear, nil, func() bool {
-			return part.Delete(k)
-		})
+		apply := func() bool {
+			return m.dp.WrapMutation(p, arg, dataplane.PubClear, nil, func() bool {
+				return part.Delete(k)
+			})
+		}
 		if m.repl == nil {
-			return boolByte(apply()), cost
+			return boolReply(apply()), cost
 		}
 		ok, fcost, rerr := m.repl.mutate(p, replDel, arg, nil, apply)
-		return mutResp(ok, rerr), cost + fcost
+		return mutReply(ok, rerr), cost + fcost
 	})
-	e.Bind(m.fn("size"), func(node int, arg []byte) ([]byte, int64) {
+	e.Bind(m.fns.size, func(node int, arg []byte) ([]byte, int64) {
 		p := m.byNode[node]
 		var out [8]byte
 		binary.LittleEndian.PutUint64(out[:], uint64(m.parts[p].Len()))
 		return out[:], cm.LocalOpNS
 	})
-	e.Bind(m.fn("scan"), func(node int, arg []byte) ([]byte, int64) {
+	e.Bind(m.fns.scan, func(node int, arg []byte) ([]byte, int64) {
 		// scan(fromFlag, fromKey, limit) -> list of pairs, used by the
 		// global merge iterator.
 		p := m.byNode[node]
@@ -262,7 +266,8 @@ func (m *Map[K, V]) bind() {
 
 // Insert stores v under k, returning true when k was newly inserted.
 func (m *Map[K, V]) Insert(r *cluster.Rank, k K, v V) (bool, error) {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -274,25 +279,26 @@ func (m *Map[K, V]) Insert(r *cluster.Rank, k K, v V) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			return m.mutateLocal(r, p, replPut, kb, vb, "insert", dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
-				return part.Insert(k, v)
-			}))
+			return m.mutateLocal(r, p, replPut, kb, vb, "insert", func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
+					return part.Insert(k, v)
+				})
+			})
 		}
-		isNew := dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+		isNew := m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 			return part.Insert(k, v)
-		})()
+		})
 		m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 1+logSteps(part.Len()), "omap", m.name, "insert")
 		return isNew, nil
 	}
-	vb, err := m.vbox.Encode(v)
+	arg, vb, err := encodePair(m.vbox, kb, v)
 	if err != nil {
 		return false, err
 	}
-	arg := databox.EncodePair(kb, vb)
 	if m.repl != nil {
-		return m.repl.invokeMutation(r, node, m.fn("insert"), arg, replPut, p, kb, vb)
+		return m.repl.invokeMutation(r, node, m.fns.insert, arg, replPut, p, kb, vb)
 	}
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("insert"), arg)
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.insert, arg)
 	if err != nil {
 		return false, err
 	}
@@ -354,7 +360,8 @@ func (m *Map[K, V]) FlushReplication() {
 
 // InsertAsync is the future-returning form of Insert.
 func (m *Map[K, V]) InsertAsync(r *cluster.Rank, k K, v V) *Future[bool] {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return immediateFuture(false, err)
 	}
@@ -366,22 +373,24 @@ func (m *Map[K, V]) InsertAsync(r *cluster.Rank, k K, v V) *Future[bool] {
 			if err != nil {
 				return immediateFuture(false, err)
 			}
-			isNew, rerr := m.mutateLocal(r, p, replPut, kb, vb, "insert", dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
-				return part.Insert(k, v)
-			}))
+			isNew, rerr := m.mutateLocal(r, p, replPut, kb, vb, "insert", func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
+					return part.Insert(k, v)
+				})
+			})
 			return immediateFuture(isNew, rerr)
 		}
-		isNew := dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+		isNew := m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 			return part.Insert(k, v)
-		})()
+		})
 		m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 1+logSteps(part.Len()), "omap", m.name, "insert")
 		return immediateFuture(isNew, nil)
 	}
-	vb, err := m.vbox.Encode(v)
+	arg, _, err := encodePair(m.vbox, kb, v)
 	if err != nil {
 		return immediateFuture(false, err)
 	}
-	raw := m.rt.engine.InvokeAsync(r, node, m.fn("insert"), databox.EncodePair(kb, vb))
+	raw := m.rt.engine.InvokeAsync(r, node, m.fns.insert, arg)
 	if m.repl != nil {
 		return remoteFuture(raw, m.repl.decodeMutResp)
 	}
@@ -391,7 +400,8 @@ func (m *Map[K, V]) InsertAsync(r *cluster.Rank, k K, v V) *Future[bool] {
 // Find returns the value stored under k.
 func (m *Map[K, V]) Find(r *cluster.Rank, k K) (V, bool, error) {
 	var zero V
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return zero, false, err
 	}
@@ -415,7 +425,7 @@ func (m *Map[K, V]) Find(r *cluster.Rank, k K) (V, bool, error) {
 		m.rt.localCharge(r, len(kb), 1+logSteps(part.Len()), "omap", m.name, "find")
 		return v, ok, nil
 	}
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("find"), kb)
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.find, kb)
 	if err != nil {
 		// Read-failover: a dead primary does not fail the read when a
 		// replica still holds the partition's acked state.
@@ -452,7 +462,8 @@ func (m *Map[K, V]) Find(r *cluster.Rank, k K) (V, bool, error) {
 
 // Erase removes k, reporting whether it was present.
 func (m *Map[K, V]) Erase(r *cluster.Rank, k K) (bool, error) {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -460,20 +471,22 @@ func (m *Map[K, V]) Erase(r *cluster.Rank, k K) (bool, error) {
 	if m.opt.hybrid && node == r.Node() {
 		part := m.parts[p]
 		if m.repl != nil {
-			return m.mutateLocal(r, p, replDel, kb, nil, "erase", dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
-				return part.Delete(k)
-			}))
+			return m.mutateLocal(r, p, replDel, kb, nil, "erase", func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
+					return part.Delete(k)
+				})
+			})
 		}
-		ok := dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+		ok := m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 			return part.Delete(k)
-		})()
+		})
 		m.rt.localCharge(r, len(kb), 1+logSteps(part.Len()), "omap", m.name, "erase")
 		return ok, nil
 	}
 	if m.repl != nil {
-		return m.repl.invokeMutation(r, node, m.fn("erase"), kb, replDel, p, kb, nil)
+		return m.repl.invokeMutation(r, node, m.fns.erase, kb, replDel, p, kb, nil)
 	}
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("erase"), kb)
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.erase, kb)
 	if err != nil {
 		return false, err
 	}
@@ -489,7 +502,7 @@ func (m *Map[K, V]) Size(r *cluster.Rank) (int, error) {
 			m.rt.localCharge(r, 0, 1, "omap", m.name, "size")
 			continue
 		}
-		resp, err := m.rt.engine.Invoke(r, node, m.fn("size"), nil)
+		resp, err := m.rt.engine.Invoke(r, node, m.fns.size, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -550,7 +563,7 @@ func (m *Map[K, V]) remoteScan(r *cluster.Rank, node int, fromSet bool, from K, 
 	}
 	var limitB [8]byte
 	binary.LittleEndian.PutUint64(limitB[:], uint64(limit))
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("scan"), databox.EncodeList(flag, fromB, limitB[:]))
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.scan, databox.EncodeList(flag, fromB, limitB[:]))
 	if err != nil {
 		return nil, err
 	}

@@ -156,3 +156,30 @@ func buildOptions(opts []Option) options {
 	}
 	return o
 }
+
+// keyedVerbs holds a keyed container's RPC function names,
+// "<kind>.<name>.<verb>", built once at construction so no call
+// concatenates a name.
+type keyedVerbs struct {
+	prefix                                         string // "<kind>.<name>."
+	insert, merge, find, erase, resize, size, scan string
+}
+
+func newKeyedVerbs(kind, name string) keyedVerbs {
+	p := kind + "." + name + "."
+	return keyedVerbs{
+		prefix: p,
+		insert: p + "insert", merge: p + "merge", find: p + "find",
+		erase: p + "erase", resize: p + "resize", size: p + "size", scan: p + "scan",
+	}
+}
+
+// queueVerbs is keyedVerbs for the queues.
+type queueVerbs struct {
+	push, pop, pushN, popN, size string
+}
+
+func newQueueVerbs(kind, name string) queueVerbs {
+	p := kind + "." + name + "."
+	return queueVerbs{push: p + "push", pop: p + "pop", pushN: p + "pushN", popN: p + "popN", size: p + "size"}
+}

@@ -10,6 +10,7 @@ import (
 	"hcl/internal/databox"
 	"hcl/internal/dataplane"
 	"hcl/internal/fabric"
+	"hcl/internal/ror"
 )
 
 // Set is HCL::set — a distributed ordered set: ordered partitions holding
@@ -17,6 +18,7 @@ import (
 // ordered map it defaults to the lock-free skip-list engine.
 type Set[K comparable] struct {
 	rt      *Runtime
+	fns     keyedVerbs
 	name    string
 	opt     options
 	servers []int
@@ -49,6 +51,7 @@ func NewSet[K comparable](rt *Runtime, name string, less Less[K], opts ...Option
 	}
 	s := &Set[K]{
 		rt:      rt,
+		fns:     newKeyedVerbs("oset", name),
 		name:    name,
 		opt:     o,
 		servers: servers,
@@ -63,20 +66,20 @@ func NewSet[K comparable](rt *Runtime, name string, less Less[K], opts ...Option
 	}
 	// Replica copies live in hash maps even for ordered containers: they
 	// only serve point failover reads and repair snapshots, never scans.
-	s.repl = newReplGroup(rt, name, s.fn(""), servers, s.byNode,
+	s.repl = newReplGroup(rt, name, s.fns.prefix, servers, s.byNode,
 		func(p int) replPart[K, struct{}] { return s.parts[p] },
 		s.kbox, nil, true, o)
 	// Routing + leases only, no slot mirror: see the ordered-map note.
 	s.dp = newPlane(rt, "oset", name, servers, o, false)
 	s.bind()
 	if s.dp != nil {
-		rt.engine.SetReadThrough(s.fn("find"), func(arg []byte) ([]byte, bool) {
+		rt.engine.SetReadThrough(s.fns.find, func(arg []byte) ([]byte, bool) {
 			p := int(StableHash64(arg) % uint64(len(servers)))
 			_, ok, hit := s.dp.CacheGet(p, arg, 0)
 			if !hit {
 				return nil, false
 			}
-			return boolByte(ok), true
+			return []byte{bit(ok)}, true
 		})
 	}
 	return s, nil
@@ -88,10 +91,13 @@ func (s *Set[K]) Name() string { return s.name }
 // Partitions reports the number of partitions.
 func (s *Set[K]) Partitions() int { return len(s.servers) }
 
-func (s *Set[K]) fn(op string) string { return "oset." + s.name + "." + op }
-
 func (s *Set[K]) partitionOf(k K) (int, []byte, error) {
-	kb, err := s.kbox.Encode(k)
+	return s.partitionOnto(nil, k)
+}
+
+// partitionOnto is partitionOf encoding the key onto buf[:0].
+func (s *Set[K]) partitionOnto(buf []byte, k K) (int, []byte, error) {
+	kb, err := s.kbox.AppendEncode(buf[:0], k)
 	if err != nil {
 		return 0, nil, fmt.Errorf("hcl: %s: encode key: %w", s.name, err)
 	}
@@ -101,7 +107,7 @@ func (s *Set[K]) partitionOf(k K) (int, []byte, error) {
 func (s *Set[K]) bind() {
 	e := s.rt.engine
 	cm := s.rt.model
-	e.Bind(s.fn("insert"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, s.fns.insert, func(node int, arg []byte) ([]byte, int64) {
 		p := s.byNode[node]
 		k, err := s.kbox.Decode(arg)
 		if err != nil {
@@ -109,21 +115,23 @@ func (s *Set[K]) bind() {
 		}
 		part := s.parts[p]
 		cost := logCost(cm.TreeOpNS, part.Len()) + cm.MemTime(len(arg))
-		apply := dpApply(s.dp, p, arg, dataplane.PubClear, nil, func() bool {
-			return part.Insert(k, struct{}{})
-		})
+		apply := func() bool {
+			return s.dp.WrapMutation(p, arg, dataplane.PubClear, nil, func() bool {
+				return part.Insert(k, struct{}{})
+			})
+		}
 		if s.repl == nil {
-			return boolByte(apply()), cost
+			return boolReply(apply()), cost
 		}
 		isNew, fcost, rerr := s.repl.mutate(p, replPut, arg, nil, apply)
-		return mutResp(isNew, rerr), cost + fcost
+		return mutReply(isNew, rerr), cost + fcost
 	})
-	e.Bind(s.fn("find"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, s.fns.find, func(node int, arg []byte) ([]byte, int64) {
 		p := s.byNode[node]
 		if s.repl != nil && s.repl.isDead(p) {
 			// Crashed, awaiting repair: the wiped primary must not serve
 			// reads. The marker sends the client to a replica.
-			return deadResp(), cm.LocalOpNS
+			return deadReply(), cm.LocalOpNS
 		}
 		k, err := s.kbox.Decode(arg)
 		if err != nil {
@@ -135,12 +143,12 @@ func (s *Set[K]) bind() {
 				_, ok := part.Find(k)
 				return nil, ok
 			})
-			return boolByte(ok), logCost(cm.TreeOpNS, part.Len())
+			return boolReply(ok), logCost(cm.TreeOpNS, part.Len())
 		}
 		_, ok := part.Find(k)
-		return boolByte(ok), logCost(cm.TreeOpNS, part.Len())
+		return boolReply(ok), logCost(cm.TreeOpNS, part.Len())
 	})
-	e.Bind(s.fn("erase"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, s.fns.erase, func(node int, arg []byte) ([]byte, int64) {
 		p := s.byNode[node]
 		k, err := s.kbox.Decode(arg)
 		if err != nil {
@@ -148,22 +156,24 @@ func (s *Set[K]) bind() {
 		}
 		part := s.parts[p]
 		cost := logCost(cm.TreeOpNS, part.Len())
-		apply := dpApply(s.dp, p, arg, dataplane.PubClear, nil, func() bool {
-			return part.Delete(k)
-		})
+		apply := func() bool {
+			return s.dp.WrapMutation(p, arg, dataplane.PubClear, nil, func() bool {
+				return part.Delete(k)
+			})
+		}
 		if s.repl == nil {
-			return boolByte(apply()), cost
+			return boolReply(apply()), cost
 		}
 		ok, fcost, rerr := s.repl.mutate(p, replDel, arg, nil, apply)
-		return mutResp(ok, rerr), cost + fcost
+		return mutReply(ok, rerr), cost + fcost
 	})
-	e.Bind(s.fn("size"), func(node int, arg []byte) ([]byte, int64) {
+	e.Bind(s.fns.size, func(node int, arg []byte) ([]byte, int64) {
 		p := s.byNode[node]
 		var out [8]byte
 		binary.LittleEndian.PutUint64(out[:], uint64(s.parts[p].Len()))
 		return out[:], cm.LocalOpNS
 	})
-	e.Bind(s.fn("scan"), func(node int, arg []byte) ([]byte, int64) {
+	e.Bind(s.fns.scan, func(node int, arg []byte) ([]byte, int64) {
 		p := s.byNode[node]
 		limit := int(binary.LittleEndian.Uint64(arg))
 		var out [][]byte
@@ -183,7 +193,8 @@ func (s *Set[K]) bind() {
 
 // Insert adds k, returning true when it was not already present.
 func (s *Set[K]) Insert(r *cluster.Rank, k K) (bool, error) {
-	p, kb, err := s.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := s.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -191,20 +202,22 @@ func (s *Set[K]) Insert(r *cluster.Rank, k K) (bool, error) {
 	if s.opt.hybrid && node == r.Node() {
 		part := s.parts[p]
 		if s.repl != nil {
-			return s.mutateLocal(r, p, replPut, kb, "insert", dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
-				return part.Insert(k, struct{}{})
-			}))
+			return s.mutateLocal(r, p, replPut, kb, "insert", func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
+					return part.Insert(k, struct{}{})
+				})
+			})
 		}
-		isNew := dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
+		isNew := s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 			return part.Insert(k, struct{}{})
-		})()
+		})
 		s.rt.localCharge(r, len(kb), 1+logSteps(part.Len()), "oset", s.name, "insert")
 		return isNew, nil
 	}
 	if s.repl != nil {
-		return s.repl.invokeMutation(r, node, s.fn("insert"), kb, replPut, p, kb, nil)
+		return s.repl.invokeMutation(r, node, s.fns.insert, kb, replPut, p, kb, nil)
 	}
-	resp, err := s.rt.engine.Invoke(r, node, s.fn("insert"), kb)
+	resp, err := s.rt.engine.Invoke(r, node, s.fns.insert, kb)
 	if err != nil {
 		return false, err
 	}
@@ -266,7 +279,8 @@ func (s *Set[K]) FlushReplication() {
 
 // InsertAsync is the future-returning form of Insert.
 func (s *Set[K]) InsertAsync(r *cluster.Rank, k K) *Future[bool] {
-	p, kb, err := s.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := s.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return immediateFuture(false, err)
 	}
@@ -274,18 +288,20 @@ func (s *Set[K]) InsertAsync(r *cluster.Rank, k K) *Future[bool] {
 	if s.opt.hybrid && node == r.Node() {
 		part := s.parts[p]
 		if s.repl != nil {
-			isNew, rerr := s.mutateLocal(r, p, replPut, kb, "insert", dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
-				return part.Insert(k, struct{}{})
-			}))
+			isNew, rerr := s.mutateLocal(r, p, replPut, kb, "insert", func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
+					return part.Insert(k, struct{}{})
+				})
+			})
 			return immediateFuture(isNew, rerr)
 		}
-		isNew := dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
+		isNew := s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 			return part.Insert(k, struct{}{})
-		})()
+		})
 		s.rt.localCharge(r, len(kb), 1+logSteps(part.Len()), "oset", s.name, "insert")
 		return immediateFuture(isNew, nil)
 	}
-	raw := s.rt.engine.InvokeAsync(r, node, s.fn("insert"), kb)
+	raw := s.rt.engine.InvokeAsync(r, node, s.fns.insert, kb)
 	if s.repl != nil {
 		return remoteFuture(raw, s.repl.decodeMutResp)
 	}
@@ -294,7 +310,8 @@ func (s *Set[K]) InsertAsync(r *cluster.Rank, k K) *Future[bool] {
 
 // Find reports whether k is in the set.
 func (s *Set[K]) Find(r *cluster.Rank, k K) (bool, error) {
-	p, kb, err := s.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := s.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -309,7 +326,7 @@ func (s *Set[K]) Find(r *cluster.Rank, k K) (bool, error) {
 		s.rt.localCharge(r, len(kb), 1+logSteps(part.Len()), "oset", s.name, "find")
 		return ok, nil
 	}
-	resp, err := s.rt.engine.Invoke(r, node, s.fn("find"), kb)
+	resp, err := s.rt.engine.Invoke(r, node, s.fns.find, kb)
 	if err != nil {
 		// Read-failover: a dead primary does not fail the read when a
 		// replica still holds the partition's acked state.
@@ -334,7 +351,8 @@ func (s *Set[K]) Find(r *cluster.Rank, k K) (bool, error) {
 
 // Erase removes k, reporting whether it was present.
 func (s *Set[K]) Erase(r *cluster.Rank, k K) (bool, error) {
-	p, kb, err := s.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := s.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -342,20 +360,22 @@ func (s *Set[K]) Erase(r *cluster.Rank, k K) (bool, error) {
 	if s.opt.hybrid && node == r.Node() {
 		part := s.parts[p]
 		if s.repl != nil {
-			return s.mutateLocal(r, p, replDel, kb, "erase", dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
-				return part.Delete(k)
-			}))
+			return s.mutateLocal(r, p, replDel, kb, "erase", func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
+					return part.Delete(k)
+				})
+			})
 		}
-		ok := dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
+		ok := s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 			return part.Delete(k)
-		})()
+		})
 		s.rt.localCharge(r, len(kb), 1+logSteps(part.Len()), "oset", s.name, "erase")
 		return ok, nil
 	}
 	if s.repl != nil {
-		return s.repl.invokeMutation(r, node, s.fn("erase"), kb, replDel, p, kb, nil)
+		return s.repl.invokeMutation(r, node, s.fns.erase, kb, replDel, p, kb, nil)
 	}
-	resp, err := s.rt.engine.Invoke(r, node, s.fn("erase"), kb)
+	resp, err := s.rt.engine.Invoke(r, node, s.fns.erase, kb)
 	if err != nil {
 		return false, err
 	}
@@ -371,7 +391,7 @@ func (s *Set[K]) Size(r *cluster.Rank) (int, error) {
 			s.rt.localCharge(r, 0, 1, "oset", s.name, "size")
 			continue
 		}
-		resp, err := s.rt.engine.Invoke(r, node, s.fn("size"), nil)
+		resp, err := s.rt.engine.Invoke(r, node, s.fns.size, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -399,7 +419,7 @@ func (s *Set[K]) Scan(r *cluster.Rank, limit int) ([]K, error) {
 		}
 		var arg [8]byte
 		binary.LittleEndian.PutUint64(arg[:], uint64(limit))
-		resp, err := s.rt.engine.Invoke(r, node, s.fn("scan"), arg[:])
+		resp, err := s.rt.engine.Invoke(r, node, s.fns.scan, arg[:])
 		if err != nil {
 			return nil, err
 		}

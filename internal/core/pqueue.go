@@ -7,6 +7,7 @@ import (
 	"hcl/internal/cluster"
 	"hcl/internal/containers"
 	"hcl/internal/databox"
+	"hcl/internal/ror"
 )
 
 // PriorityQueue is HCL::priority_queue — a distributed MWMR priority
@@ -15,6 +16,7 @@ import (
 // host, pops take the minimum (paper Section III-D3B).
 type PriorityQueue[T any] struct {
 	rt   *Runtime
+	fns  queueVerbs
 	name string
 	opt  options
 	host int
@@ -56,6 +58,7 @@ func NewPriorityQueue[T any](rt *Runtime, name string, less func(a, b T) bool, o
 	}
 	q := &PriorityQueue[T]{
 		rt:   rt,
+		fns:  newQueueVerbs("pq", name),
 		name: name,
 		opt:  o,
 		host: host,
@@ -72,33 +75,31 @@ func (q *PriorityQueue[T]) Name() string { return q.name }
 // Host reports the node hosting the queue partition.
 func (q *PriorityQueue[T]) Host() int { return q.host }
 
-func (q *PriorityQueue[T]) fn(op string) string { return "pq." + q.name + "." + op }
-
 func (q *PriorityQueue[T]) bind() {
 	e := q.rt.engine
 	cm := q.rt.model
-	e.Bind(q.fn("push"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, q.fns.push, func(node int, arg []byte) ([]byte, int64) {
 		v, err := q.box.Decode(arg)
 		if err != nil {
 			panic(err)
 		}
 		q.pq.Push(v)
 		// Table I: push = F + L*log(N) + W.
-		return boolByte(true), logCost(cm.TreeOpNS, q.pq.Len()) + cm.MemTime(len(arg))
+		return replyTrue, logCost(cm.TreeOpNS, q.pq.Len()) + cm.MemTime(len(arg))
 	})
-	e.Bind(q.fn("pop"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, q.fns.pop, func(node int, arg []byte) ([]byte, int64) {
 		v, ok := q.pq.PopMin()
 		if !ok {
-			return []byte{0}, cm.LocalOpNS
+			return replyFalse, cm.LocalOpNS
 		}
-		vb, err := q.box.Encode(v)
+		out, err := foundReply(q.box, v)
 		if err != nil {
 			panic(err)
 		}
 		// Table I: pop = F + L + R.
-		return append([]byte{1}, vb...), cm.LocalOpNS + cm.MemTime(len(vb))
+		return out, cm.LocalOpNS + cm.MemTime(len(out)-2)
 	})
-	e.Bind(q.fn("pushN"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, q.fns.pushN, func(node int, arg []byte) ([]byte, int64) {
 		items, err := databox.DecodeList(arg)
 		if err != nil {
 			panic(err)
@@ -110,26 +111,25 @@ func (q *PriorityQueue[T]) bind() {
 			}
 			q.pq.Push(v)
 		}
-		return boolByte(true), int64(len(items))*logCost(cm.TreeOpNS, q.pq.Len()) + cm.MemTime(len(arg))
+		return replyTrue, int64(len(items))*logCost(cm.TreeOpNS, q.pq.Len()) + cm.MemTime(len(arg))
 	})
-	e.Bind(q.fn("popN"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, q.fns.popN, func(node int, arg []byte) ([]byte, int64) {
 		want := int(binary.LittleEndian.Uint64(arg))
-		var out [][]byte
+		var out []T
 		for i := 0; i < want; i++ {
 			v, ok := q.pq.PopMin()
 			if !ok {
 				break
 			}
-			vb, err := q.box.Encode(v)
-			if err != nil {
-				panic(err)
-			}
-			out = append(out, vb)
+			out = append(out, v)
 		}
-		resp := databox.EncodeList(out...)
-		return resp, cm.LocalOpNS + int64(len(out))*cm.LocalOpNS + cm.MemTime(len(resp))
+		resp, err := appendList(ror.Reply(listCap(q.box, len(out))), q.box, out)
+		if err != nil {
+			panic(err)
+		}
+		return resp, cm.LocalOpNS + int64(len(out))*cm.LocalOpNS + cm.MemTime(len(resp)-1)
 	})
-	e.Bind(q.fn("size"), func(node int, arg []byte) ([]byte, int64) {
+	e.Bind(q.fns.size, func(node int, arg []byte) ([]byte, int64) {
 		var out [8]byte
 		binary.LittleEndian.PutUint64(out[:], uint64(q.pq.Len()))
 		return out[:], cm.LocalOpNS
@@ -151,7 +151,7 @@ func (q *PriorityQueue[T]) Push(r *cluster.Rank, v T) error {
 	if err != nil {
 		return err
 	}
-	_, err = q.rt.engine.Invoke(r, q.host, q.fn("push"), vb)
+	_, err = q.rt.engine.Invoke(r, q.host, q.fns.push, vb)
 	return err
 }
 
@@ -166,7 +166,7 @@ func (q *PriorityQueue[T]) PushAsync(r *cluster.Rank, v T) *Future[bool] {
 	if err != nil {
 		return immediateFuture(false, err)
 	}
-	raw := q.rt.engine.InvokeAsync(r, q.host, q.fn("push"), vb)
+	raw := q.rt.engine.InvokeAsync(r, q.host, q.fns.push, vb)
 	return remoteFuture(raw, decodeBool)
 }
 
@@ -178,7 +178,7 @@ func (q *PriorityQueue[T]) Pop(r *cluster.Rank) (T, bool, error) {
 		q.rt.localCharge(r, payloadSize(q.box, v), 2, "pq", q.name, "pop")
 		return v, ok, nil
 	}
-	resp, err := q.rt.engine.Invoke(r, q.host, q.fn("pop"), nil)
+	resp, err := q.rt.engine.Invoke(r, q.host, q.fns.pop, nil)
 	if err != nil {
 		return zero, false, err
 	}
@@ -209,15 +209,11 @@ func (q *PriorityQueue[T]) PushMulti(r *cluster.Rank, vals []T) error {
 		q.rt.localCharge(r, total, len(vals)*logSteps(q.pq.Len()), "pq", q.name, "pushN")
 		return nil
 	}
-	fields := make([][]byte, len(vals))
-	for i, v := range vals {
-		vb, err := q.box.Encode(v)
-		if err != nil {
-			return err
-		}
-		fields[i] = vb
+	arg, err := appendList(ror.ArgBuf(listCap(q.box, len(vals))), q.box, vals)
+	if err != nil {
+		return err
 	}
-	_, err := q.rt.engine.Invoke(r, q.host, q.fn("pushN"), databox.EncodeList(fields...))
+	_, err = ror.InvokeInPlace(q.rt.engine, r, q.host, q.fns.pushN, arg)
 	return err
 }
 
@@ -242,7 +238,7 @@ func (q *PriorityQueue[T]) PopMulti(r *cluster.Rank, n int) ([]T, error) {
 	}
 	var arg [8]byte
 	binary.LittleEndian.PutUint64(arg[:], uint64(n))
-	resp, err := q.rt.engine.Invoke(r, q.host, q.fn("popN"), arg[:])
+	resp, err := q.rt.engine.Invoke(r, q.host, q.fns.popN, arg[:])
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +263,7 @@ func (q *PriorityQueue[T]) Size(r *cluster.Rank) (int, error) {
 		q.rt.localCharge(r, 0, 1, "pq", q.name, "size")
 		return q.pq.Len(), nil
 	}
-	resp, err := q.rt.engine.Invoke(r, q.host, q.fn("size"), nil)
+	resp, err := q.rt.engine.Invoke(r, q.host, q.fns.size, nil)
 	if err != nil {
 		return 0, err
 	}

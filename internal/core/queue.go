@@ -7,6 +7,7 @@ import (
 	"hcl/internal/cluster"
 	"hcl/internal/containers"
 	"hcl/internal/databox"
+	"hcl/internal/ror"
 )
 
 // Queue is HCL::queue — a distributed MWMR FIFO queue. Queues are
@@ -16,6 +17,7 @@ import (
 // through shared memory when co-located.
 type Queue[T any] struct {
 	rt   *Runtime
+	fns  queueVerbs
 	name string
 	opt  options
 	host int
@@ -48,6 +50,7 @@ func NewQueue[T any](rt *Runtime, name string, opts ...Option) (*Queue[T], error
 	}
 	q := &Queue[T]{
 		rt:   rt,
+		fns:  newQueueVerbs("queue", name),
 		name: name,
 		opt:  o,
 		host: host,
@@ -64,33 +67,31 @@ func (q *Queue[T]) Name() string { return q.name }
 // Host reports the node hosting the queue partition.
 func (q *Queue[T]) Host() int { return q.host }
 
-func (q *Queue[T]) fn(op string) string { return "queue." + q.name + "." + op }
-
 func (q *Queue[T]) bind() {
 	e := q.rt.engine
 	cm := q.rt.model
-	e.Bind(q.fn("push"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, q.fns.push, func(node int, arg []byte) ([]byte, int64) {
 		v, err := q.box.Decode(arg)
 		if err != nil {
 			panic(err)
 		}
 		q.q.Push(v)
 		// Table I: push = F + L + W.
-		return boolByte(true), cm.LocalOpNS + cm.MemTime(len(arg))
+		return replyTrue, cm.LocalOpNS + cm.MemTime(len(arg))
 	})
-	e.Bind(q.fn("pop"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, q.fns.pop, func(node int, arg []byte) ([]byte, int64) {
 		v, ok := q.q.Pop()
 		if !ok {
-			return []byte{0}, cm.LocalOpNS
+			return replyFalse, cm.LocalOpNS
 		}
-		vb, err := q.box.Encode(v)
+		out, err := foundReply(q.box, v)
 		if err != nil {
 			panic(err)
 		}
 		// Table I: pop = F + L + R.
-		return append([]byte{1}, vb...), cm.LocalOpNS + cm.MemTime(len(vb))
+		return out, cm.LocalOpNS + cm.MemTime(len(out)-2)
 	})
-	e.Bind(q.fn("pushN"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, q.fns.pushN, func(node int, arg []byte) ([]byte, int64) {
 		items, err := databox.DecodeList(arg)
 		if err != nil {
 			panic(err)
@@ -103,27 +104,26 @@ func (q *Queue[T]) bind() {
 			q.q.Push(v)
 		}
 		// Table I: vector push = F + L + E*W.
-		return boolByte(true), cm.LocalOpNS + int64(len(items))*cm.LocalOpNS + cm.MemTime(len(arg))
+		return replyTrue, cm.LocalOpNS + int64(len(items))*cm.LocalOpNS + cm.MemTime(len(arg))
 	})
-	e.Bind(q.fn("popN"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, q.fns.popN, func(node int, arg []byte) ([]byte, int64) {
 		want := int(binary.LittleEndian.Uint64(arg))
-		var out [][]byte
+		var out []T
 		for i := 0; i < want; i++ {
 			v, ok := q.q.Pop()
 			if !ok {
 				break
 			}
-			vb, err := q.box.Encode(v)
-			if err != nil {
-				panic(err)
-			}
-			out = append(out, vb)
+			out = append(out, v)
 		}
-		resp := databox.EncodeList(out...)
+		resp, err := appendList(ror.Reply(listCap(q.box, len(out))), q.box, out)
+		if err != nil {
+			panic(err)
+		}
 		// Table I: vector pop = F + L + E*R.
-		return resp, cm.LocalOpNS + int64(len(out))*cm.LocalOpNS + cm.MemTime(len(resp))
+		return resp, cm.LocalOpNS + int64(len(out))*cm.LocalOpNS + cm.MemTime(len(resp)-1)
 	})
-	e.Bind(q.fn("size"), func(node int, arg []byte) ([]byte, int64) {
+	e.Bind(q.fns.size, func(node int, arg []byte) ([]byte, int64) {
 		var out [8]byte
 		binary.LittleEndian.PutUint64(out[:], uint64(q.q.Len()))
 		return out[:], cm.LocalOpNS
@@ -145,7 +145,7 @@ func (q *Queue[T]) Push(r *cluster.Rank, v T) error {
 	if err != nil {
 		return err
 	}
-	_, err = q.rt.engine.Invoke(r, q.host, q.fn("push"), vb)
+	_, err = q.rt.engine.Invoke(r, q.host, q.fns.push, vb)
 	return err
 }
 
@@ -160,7 +160,7 @@ func (q *Queue[T]) PushAsync(r *cluster.Rank, v T) *Future[bool] {
 	if err != nil {
 		return immediateFuture(false, err)
 	}
-	raw := q.rt.engine.InvokeAsync(r, q.host, q.fn("push"), vb)
+	raw := q.rt.engine.InvokeAsync(r, q.host, q.fns.push, vb)
 	return remoteFuture(raw, decodeBool)
 }
 
@@ -172,7 +172,7 @@ func (q *Queue[T]) Pop(r *cluster.Rank) (T, bool, error) {
 		q.rt.localCharge(r, payloadSize(q.box, v), 2, "queue", q.name, "pop")
 		return v, ok, nil
 	}
-	resp, err := q.rt.engine.Invoke(r, q.host, q.fn("pop"), nil)
+	resp, err := q.rt.engine.Invoke(r, q.host, q.fns.pop, nil)
 	if err != nil {
 		return zero, false, err
 	}
@@ -209,15 +209,11 @@ func (q *Queue[T]) PushMulti(r *cluster.Rank, vals []T) error {
 		q.rt.localCharge(r, total, 1+len(vals), "queue", q.name, "pushN")
 		return nil
 	}
-	fields := make([][]byte, len(vals))
-	for i, v := range vals {
-		vb, err := q.box.Encode(v)
-		if err != nil {
-			return err
-		}
-		fields[i] = vb
+	arg, err := appendList(ror.ArgBuf(listCap(q.box, len(vals))), q.box, vals)
+	if err != nil {
+		return err
 	}
-	_, err := q.rt.engine.Invoke(r, q.host, q.fn("pushN"), databox.EncodeList(fields...))
+	_, err = ror.InvokeInPlace(q.rt.engine, r, q.host, q.fns.pushN, arg)
 	return err
 }
 
@@ -242,7 +238,7 @@ func (q *Queue[T]) PopMulti(r *cluster.Rank, n int) ([]T, error) {
 	}
 	var arg [8]byte
 	binary.LittleEndian.PutUint64(arg[:], uint64(n))
-	resp, err := q.rt.engine.Invoke(r, q.host, q.fn("popN"), arg[:])
+	resp, err := q.rt.engine.Invoke(r, q.host, q.fns.popN, arg[:])
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +263,7 @@ func (q *Queue[T]) Size(r *cluster.Rank) (int, error) {
 		q.rt.localCharge(r, 0, 1, "queue", q.name, "size")
 		return q.q.Len(), nil
 	}
-	resp, err := q.rt.engine.Invoke(r, q.host, q.fn("size"), nil)
+	resp, err := q.rt.engine.Invoke(r, q.host, q.fns.size, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -456,7 +456,7 @@ func (g *replGroup[K, V]) bind() {
 			}
 		}
 		cp.mu.Unlock()
-		return []byte{1, boolByte(applied)[0]}, cm.LocalOpNS + cm.MemTime(len(arg))
+		return []byte{1, bit(applied)}, cm.LocalOpNS + cm.MemTime(len(arg))
 	})
 
 	// rfind: read a key from this holder's copy. Response shape matches
@@ -482,7 +482,7 @@ func (g *replGroup[K, V]) bind() {
 		v, ok := cp.m.Find(k)
 		cp.mu.Unlock()
 		if g.keyOnly {
-			return boolByte(ok), cm.LocalOpNS
+			return []byte{bit(ok)}, cm.LocalOpNS
 		}
 		if !ok {
 			return []byte{0}, cm.LocalOpNS
@@ -567,11 +567,15 @@ func (g *replGroup[K, V]) mutate(p int, verb byte, kb, vb []byte, apply func() b
 		res := apply()
 		// Queued ops outlive this handler, but kb/vb alias the RPC
 		// engine's reusable call buffer — clone before enqueueing.
-		kb = append([]byte(nil), kb...)
+		// Fresh variables, not kb/vb reassigned: escape analysis is
+		// flow-insensitive, and storing a reassigned parameter would move
+		// every caller's key buffer to the heap.
+		qkb := append([]byte(nil), kb...)
+		var qvb []byte
 		if vb != nil {
-			vb = append([]byte(nil), vb...)
+			qvb = append([]byte(nil), vb...)
 		}
-		depth, drain := g.enqueue(replOp{p: p, verb: verb, kb: kb, vb: vb, epoch: epoch})
+		depth, drain := g.enqueue(replOp{p: p, verb: verb, kb: qkb, vb: qvb, epoch: epoch})
 		g.locks[p].Unlock()
 		g.count(metrics.ReplicaLag, g.servers[p], 0, float64(depth))
 		if drain {
@@ -717,13 +721,13 @@ func (g *replGroup[K, V]) Flush() {
 }
 
 // isDead reports whether partition p crashed and awaits repair. Container
-// find handlers use it to answer with deadResp instead of serving reads
+// find handlers use it to answer with deadReply instead of serving reads
 // from a wiped primary.
 func (g *replGroup[K, V]) isDead(p int) bool { return g.dead[p].Load() }
 
-// deadResp is the find-shaped response of a crashed partition; clients
-// recognize it with isDeadResp and fail over to a replica.
-func deadResp() []byte { return []byte{replStatusDead} }
+// deadReply is the framed find response of a crashed partition; clients
+// recognize its payload with isDeadResp and fail over to a replica.
+func deadReply() []byte { return append(ror.Reply(1), replStatusDead) }
 
 func isDeadResp(resp []byte) bool {
 	return len(resp) == 1 && resp[0] == replStatusDead
@@ -744,12 +748,12 @@ func (g *replGroup[K, V]) decodeMutResp(resp []byte) (bool, error) {
 	return decodeBool(resp[1:])
 }
 
-// mutResp encodes a handler-side mutation result for the wire.
-func mutResp(res bool, err error) []byte {
+// mutReply frames a handler-side mutation result for the wire.
+func mutReply(res bool, err error) []byte {
 	if err != nil {
-		return []byte{replStatusDegraded}
+		return append(ror.Reply(1), replStatusDegraded)
 	}
-	return []byte{replStatusOK, boolByte(res)[0]}
+	return append(ror.Reply(2), replStatusOK, bit(res))
 }
 
 // invokeMutation performs a replicated mutating verb remotely and decodes

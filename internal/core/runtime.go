@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync/atomic"
 
 	"hcl/internal/cluster"
@@ -175,8 +174,4 @@ func (rt *Runtime) localCharge(r *cluster.Rank, bytes, ops int, kind, name, op s
 // process-independent FNV-1a over the DataBox encoding of the key, so
 // every process (even across OS processes on the TCP provider) agrees on
 // the partition.
-func StableHash64(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
+func StableHash64(b []byte) uint64 { return ror.FNV1a(b) }

@@ -74,27 +74,46 @@ var txnIDs atomic.Uint64
 // ---------------------------------------------------------------------------
 // Server-side state
 
+// txnStripeBits sizes each partition's version table: 2^txnStripeBits
+// slots, 8 KiB per partition however many keys it holds.
+const txnStripeBits = 10
+
 // txnPart is the per-partition transaction state at the primary.
 type txnPart struct {
-	mu    sync.Mutex
-	vers  map[string]uint64 // encoded key -> version of its last mutation
-	seq   uint64            // monotonic version source, never reset
-	floor uint64            // minimum version any key reports (crash/repair fence)
-	epoch uint64            // bumped by CrashNode/RepairNode; prepares pin it
-	owner uint64            // txn id holding this partition prepared; 0 = free
+	mu sync.Mutex
+	// vers is the striped version table: slot txnStripe(kb) holds the
+	// version of the latest mutation of any key hashing there. Keys that
+	// share a slot share a version, so a write to one can fail validation
+	// of a read of another (a spurious conflict, retried), but a write to
+	// a key always moves the version its readers validate against (never
+	// a missed conflict). Allocated on the first mutation.
+	vers  *[1 << txnStripeBits]uint64
+	seq   uint64 // monotonic version source, never reset
+	floor uint64 // minimum version any key reports (crash/repair fence)
+	epoch uint64 // bumped by CrashNode/RepairNode; prepares pin it
+	owner uint64 // txn id holding this partition prepared; 0 = free
 
 	done  map[uint64]bool // recently committed txn ids (idempotent retry)
 	ring  [txnDoneRing]uint64
 	ringI int
 }
 
-// version reports the current version of an encoded key. Keys without a
-// recorded mutation report the floor, which crash/repair bumps past every
-// previously handed-out version — so a read taken before the fault can
-// never validate after it.
+// txnStripe maps an encoded key to its version-table slot: the high bits
+// of a multiplicative remix of the routing hash, so the slot does not
+// repeat the low bits that chose the partition.
+func txnStripe(kb []byte) uint64 {
+	return (StableHash64(kb) * 0x9E3779B97F4A7C15) >> (64 - txnStripeBits)
+}
+
+// version reports the current version of an encoded key: its slot's
+// version, or the floor when that is higher. Crash/repair bumps the floor
+// past every previously handed-out version — so a read taken before the
+// fault can never validate after it.
 func (tp *txnPart) version(kb []byte) uint64 {
-	if v, ok := tp.vers[string(kb)]; ok && v > tp.floor {
-		return v
+	if tp.vers != nil {
+		if v := tp.vers[txnStripe(kb)]; v > tp.floor {
+			return v
+		}
 	}
 	return tp.floor
 }
@@ -102,9 +121,9 @@ func (tp *txnPart) version(kb []byte) uint64 {
 func (tp *txnPart) bump(kb []byte) {
 	tp.seq++
 	if tp.vers == nil {
-		tp.vers = make(map[string]uint64)
+		tp.vers = new([1 << txnStripeBits]uint64)
 	}
-	tp.vers[string(kb)] = tp.seq
+	tp.vers[txnStripe(kb)] = tp.seq
 }
 
 func (tp *txnPart) markDone(id uint64) {
@@ -126,7 +145,6 @@ func (tp *txnPart) fence() {
 	tp.mu.Lock()
 	tp.floor = tp.seq + 1
 	tp.seq = tp.floor
-	tp.vers = nil
 	tp.epoch++
 	tp.owner = 0
 	tp.mu.Unlock()
@@ -151,22 +169,18 @@ func newTxnState(n int) *txnState {
 	return &txnState{parts: make([]txnPart, n)}
 }
 
-// wrap composes a version bump onto a mutation's apply closure. It runs
-// after the primary-side apply so a concurrent versioned read can never
-// observe the old value with the new version (the unsafe direction); the
-// benign inverse race only costs a spurious conflict.
-func (st *txnState) wrap(p int, kb []byte, apply func() bool) func() bool {
+// bump records a mutation of kb on partition p. Callers run it after the
+// primary-side apply so a concurrent versioned read can never observe the
+// old value with the new version (the unsafe direction); the benign
+// inverse race only costs a spurious conflict.
+func (st *txnState) bump(p int, kb []byte) {
 	if st == nil {
-		return apply
+		return
 	}
-	return func() bool {
-		res := apply()
-		tp := &st.parts[p]
-		tp.mu.Lock()
-		tp.bump(kb)
-		tp.mu.Unlock()
-		return res
-	}
+	tp := &st.parts[p]
+	tp.mu.Lock()
+	tp.bump(kb)
+	tp.mu.Unlock()
 }
 
 // Fence invalidates partition p's transaction state (crash/repair hook).

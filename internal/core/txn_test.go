@@ -330,3 +330,81 @@ func TestTxnMalformedFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestTxnVersionStateBounded: a million distinct-key inserts leave a
+// partition's transaction version state at the one fixed-size table its
+// first mutation allocated (a per-key version map would hold an entry per
+// key), and versioned reads still see writes: a read, then a plain
+// overwrite of the key inserted last, fails validation.
+func TestTxnVersionStateBounded(t *testing.T) {
+	w, rt, _ := newTestWorld(t, 1, 1)
+	m, err := NewUnorderedMap[int, int](rt, "txn_bounded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := w.Rank(0)
+	if _, err := m.Insert(r, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	tp := &m.tx.parts[0]
+	table := tp.vers
+	if table == nil {
+		t.Fatal("no version table after the first insert")
+	}
+	const n = 1 << 20
+	m.parts[0].Reserve(n)
+	for k := 1; k < n; k++ {
+		if _, err := m.Insert(r, k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tp.vers != table {
+		t.Fatal("version table reallocated across inserts")
+	}
+
+	tx := newTx(r)
+	h, _ := m.txnHooks()
+	kb, _ := m.kbox.Encode(n - 1)
+	if _, _, err := tx.txnGet(h, kb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Insert(r, n-1, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := TxnPut(tx, m, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.commit(); !errors.Is(err, ErrTxnConflict) {
+		t.Fatalf("commit after an overwrite of a read key = %v, want ErrTxnConflict", err)
+	}
+}
+
+// TestTxnStripeCollisionConflicts: two keys sharing a version-table slot
+// share a version, so a plain write to one fails validation of a read of
+// the other — a spurious conflict, the price of the fixed table.
+func TestTxnStripeCollisionConflicts(t *testing.T) {
+	c, a, _ := txnTestMaps(t)
+	r := c.w.Rank(0)
+	p0, kb0, _ := a.partitionOf(0)
+	other := -1
+	for k := 1; other < 0; k++ {
+		p, kb, _ := a.partitionOf(k)
+		if p == p0 && txnStripe(kb) == txnStripe(kb0) {
+			other = k
+		}
+	}
+	tx := newTx(r)
+	h, _ := a.txnHooks()
+	if _, _, err := tx.txnGet(h, kb0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Insert(r, other, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := TxnPut(tx, a, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.commit(); !errors.Is(err, ErrTxnConflict) {
+		t.Fatalf("commit after a write to a same-slot key = %v, want ErrTxnConflict", err)
+	}
+}

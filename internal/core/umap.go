@@ -11,6 +11,7 @@ import (
 	"hcl/internal/dataplane"
 	"hcl/internal/fabric"
 	"hcl/internal/reshard"
+	"hcl/internal/ror"
 )
 
 // UnorderedMap is HCL::unordered_map — a distributed hash map whose
@@ -20,6 +21,7 @@ import (
 // partitions directly through shared memory (the hybrid access model).
 type UnorderedMap[K comparable, V any] struct {
 	rt      *Runtime
+	fns     keyedVerbs
 	name    string
 	opt     options
 	servers []int
@@ -50,6 +52,7 @@ func NewUnorderedMap[K comparable, V any](rt *Runtime, name string, opts ...Opti
 	}
 	m := &UnorderedMap[K, V]{
 		rt:      rt,
+		fns:     newKeyedVerbs("umap", name),
 		name:    name,
 		opt:     o,
 		servers: servers,
@@ -70,7 +73,7 @@ func NewUnorderedMap[K comparable, V any](rt *Runtime, name string, opts ...Opti
 	if err := m.openJournals(); err != nil {
 		return nil, err
 	}
-	m.repl = newReplGroup(rt, name, m.fn(""), servers, m.byNode,
+	m.repl = newReplGroup(rt, name, m.fns.prefix, servers, m.byNode,
 		func(p int) replPart[K, V] { return m.parts[p] },
 		m.kbox, m.vbox, false, o)
 	if m.repl != nil {
@@ -91,7 +94,7 @@ func NewUnorderedMap[K comparable, V any](rt *Runtime, name string, opts ...Opti
 	if m.dp != nil {
 		// Client-side cache check before aggregation: an aggregated find
 		// whose key holds an unexpired lease never joins a batch bucket.
-		rt.engine.SetReadThrough(m.fn("find"), func(arg []byte) ([]byte, bool) {
+		rt.engine.SetReadThrough(m.fns.find, func(arg []byte) ([]byte, bool) {
 			p := m.route(arg)
 			vb, ok, hit := m.dp.CacheGet(p, arg, 0)
 			if !hit {
@@ -130,10 +133,19 @@ func (m *UnorderedMap[K, V]) PartitionOf(k K) (int, error) {
 	return p, err
 }
 
+// keyBuf sizes the stack array hot paths encode a key into: keys that
+// fit (most do) are routed and shipped without a heap allocation.
+const keyBuf = 64
+
 // partitionOf computes the level-one (stable) hash and the owning
 // partition of a key. The encoded key is returned for reuse on the wire.
 func (m *UnorderedMap[K, V]) partitionOf(k K) (int, []byte, error) {
-	kb, err := m.kbox.Encode(k)
+	return m.partitionOnto(nil, k)
+}
+
+// partitionOnto is partitionOf encoding the key onto buf[:0].
+func (m *UnorderedMap[K, V]) partitionOnto(buf []byte, k K) (int, []byte, error) {
+	kb, err := m.kbox.AppendEncode(buf[:0], k)
 	if err != nil {
 		return 0, nil, fmt.Errorf("hcl: %s: encode key: %w", m.name, err)
 	}
@@ -152,14 +164,13 @@ func (m *UnorderedMap[K, V]) route(kb []byte) int {
 	return int(StableHash64(kb) % uint64(len(m.servers)))
 }
 
-func (m *UnorderedMap[K, V]) fn(op string) string { return "umap." + m.name + "." + op }
-
 // bind registers the container's server-side handlers in the invocation
-// registry (the paper's bind step).
+// registry (the paper's bind step). The hot verbs are framed: each builds
+// its whole response, status byte included, in one buffer.
 func (m *UnorderedMap[K, V]) bind() {
 	e := m.rt.engine
 	cm := m.rt.model
-	e.Bind(m.fn("insert"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, m.fns.insert, func(node int, arg []byte) ([]byte, int64) {
 		kb, vb, err := databox.DecodePair(arg)
 		if err != nil {
 			panic(err)
@@ -179,25 +190,27 @@ func (m *UnorderedMap[K, V]) bind() {
 			// client's route may be one flip stale), dual-writing while
 			// the key's vshard is mid-migration.
 			isNew := m.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(m.dp, p, kb, dataplane.PubValue, vb, func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubValue, vb, func() bool {
 					return m.parts[p].Insert(k, v)
-				})()
+				})
 			})
-			return boolByte(isNew), cost
+			return boolReply(isNew), cost
 		}
 		p := m.byNode[node]
-		apply := m.applyWrap(p, kb, dataplane.PubValue, vb, func() bool {
+		put := func() bool {
 			isNew := m.parts[p].Insert(k, v)
 			m.appendJournalPut(p, arg)
 			return isNew
-		})
-		if m.repl == nil {
-			return boolByte(apply()), cost
 		}
-		isNew, fcost, rerr := m.repl.mutate(p, replPut, kb, vb, apply)
-		return mutResp(isNew, rerr), cost + fcost
+		if m.repl == nil {
+			return boolReply(m.applyAt(p, kb, dataplane.PubValue, vb, put)), cost
+		}
+		isNew, fcost, rerr := m.repl.mutate(p, replPut, kb, vb, func() bool {
+			return m.applyAt(p, kb, dataplane.PubValue, vb, put)
+		})
+		return mutReply(isNew, rerr), cost + fcost
 	})
-	e.Bind(m.fn("merge"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, m.fns.merge, func(node int, arg []byte) ([]byte, int64) {
 		kb, vb, err := databox.DecodePair(arg)
 		if err != nil {
 			panic(err)
@@ -214,99 +227,100 @@ func (m *UnorderedMap[K, V]) bind() {
 		cost := 2*cm.LocalOpNS + cm.MemTime(len(arg))
 		if m.rg != nil {
 			isNew := m.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 					return m.mergeLocal(p, k, v)
-				})()
+				})
 			})
-			return boolByte(isNew), cost
+			return boolReply(isNew), cost
 		}
 		p := m.byNode[node]
 		// PubClear, not PubValue: the combined value lives only in the
 		// partition, never on the wire, so the mirror slot is invalidated
 		// rather than re-encoded on the mutation path.
-		apply := m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+		merge := func() bool {
 			isNew := m.mergeLocal(p, k, v)
 			m.journalMerged(p, kb, k)
 			return isNew
-		})
-		if m.repl == nil {
-			return boolByte(apply()), cost
 		}
-		isNew, fcost, rerr := m.repl.mutate(p, replMerge, kb, vb, apply)
-		return mutResp(isNew, rerr), cost + fcost
+		if m.repl == nil {
+			return boolReply(m.applyAt(p, kb, dataplane.PubClear, nil, merge)), cost
+		}
+		isNew, fcost, rerr := m.repl.mutate(p, replMerge, kb, vb, func() bool {
+			return m.applyAt(p, kb, dataplane.PubClear, nil, merge)
+		})
+		return mutReply(isNew, rerr), cost + fcost
 	})
-	e.Bind(m.fn("find"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, m.fns.find, func(node int, arg []byte) ([]byte, int64) {
 		k, err := m.kbox.Decode(arg)
 		if err != nil {
 			panic(err)
 		}
-		serve := func(p int) ([]byte, bool) {
-			read := func() ([]byte, bool) {
-				v, ok := m.parts[p].Find(k)
-				if !ok {
+		var out []byte
+		var ok bool
+		// read builds the [status][found][value] reply at partition p.
+		// Serving a find is also granting a read lease: with a dataplane
+		// the read and the grant happen atomically under the key's stripe
+		// lock, and the lease records the value bytes of the reply.
+		read := func(p int) {
+			_, ok = m.dp.GrantRead(p, arg, func() ([]byte, bool) {
+				v, found := m.parts[p].Find(k)
+				if !found {
 					return nil, false
 				}
-				vb, err := m.vbox.Encode(v)
-				if err != nil {
+				if out, err = foundReply(m.vbox, v); err != nil {
 					panic(err)
 				}
-				return vb, true
-			}
-			if m.dp != nil {
-				// Serving a find is also granting a read lease: the read and
-				// the grant happen atomically under the key's stripe lock.
-				return m.dp.GrantRead(p, arg, read)
-			}
-			return read()
+				return out[2:], true
+			})
 		}
-		var vb []byte
-		var ok bool
 		if m.rg != nil {
 			// Resolve and read under the vshard read-lock: a read that
 			// found the old owner completes before a concurrent flip can
 			// drain the key from under it.
-			m.rg.Read(StableHash64(arg), func(p int) { vb, ok = serve(p) })
+			m.rg.Read(StableHash64(arg), read)
 		} else {
 			p := m.byNode[node]
 			if m.repl != nil && m.repl.isDead(p) {
 				// Crashed, awaiting repair: the wiped primary must not serve
 				// reads. The marker sends the client to a replica.
-				return deadResp(), cm.LocalOpNS
+				return deadReply(), cm.LocalOpNS
 			}
-			vb, ok = serve(p)
+			read(p)
 		}
 		if !ok {
-			return []byte{0}, cm.LocalOpNS
+			return replyFalse, cm.LocalOpNS
 		}
 		// Table I: find = F + L + R.
-		return append([]byte{1}, vb...), cm.LocalOpNS + cm.MemTime(len(vb))
+		return out, cm.LocalOpNS + cm.MemTime(len(out)-2)
 	})
-	e.Bind(m.fn("erase"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, m.fns.erase, func(node int, arg []byte) ([]byte, int64) {
 		k, err := m.kbox.Decode(arg)
 		if err != nil {
 			panic(err)
 		}
 		if m.rg != nil {
 			ok := m.rg.Mutate(StableHash64(arg), func(p int) bool {
-				return dpApply(m.dp, p, arg, dataplane.PubClear, nil, func() bool {
+				return m.dp.WrapMutation(p, arg, dataplane.PubClear, nil, func() bool {
 					return m.parts[p].Delete(k)
-				})()
+				})
 			})
-			return boolByte(ok), cm.LocalOpNS
+			return boolReply(ok), cm.LocalOpNS
 		}
 		p := m.byNode[node]
-		apply := m.applyWrap(p, arg, dataplane.PubClear, nil, func() bool {
+		del := func() bool {
 			ok := m.parts[p].Delete(k)
 			m.appendJournalDel(p, arg)
 			return ok
-		})
-		if m.repl == nil {
-			return boolByte(apply()), cm.LocalOpNS
 		}
-		ok, fcost, rerr := m.repl.mutate(p, replDel, arg, nil, apply)
-		return mutResp(ok, rerr), cm.LocalOpNS + fcost
+		if m.repl == nil {
+			return boolReply(m.applyAt(p, arg, dataplane.PubClear, nil, del)), cm.LocalOpNS
+		}
+		ok, fcost, rerr := m.repl.mutate(p, replDel, arg, nil, func() bool {
+			return m.applyAt(p, arg, dataplane.PubClear, nil, del)
+		})
+		return mutReply(ok, rerr), cm.LocalOpNS + fcost
 	})
-	e.Bind(m.fn("resize"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, m.fns.resize, func(node int, arg []byte) ([]byte, int64) {
 		p := m.byNode[node]
 		if len(arg) == 16 {
 			// Vshard-routed containers address the partition explicitly
@@ -317,9 +331,9 @@ func (m *UnorderedMap[K, V]) bind() {
 		n := m.parts[p].Len()
 		m.parts[p].Reserve(newSize)
 		// Table I: resize = F + N(R+W).
-		return boolByte(true), int64(n) * 2 * cm.LocalOpNS
+		return replyTrue, int64(n) * 2 * cm.LocalOpNS
 	})
-	e.Bind(m.fn("size"), func(node int, arg []byte) ([]byte, int64) {
+	e.Bind(m.fns.size, func(node int, arg []byte) ([]byte, int64) {
 		if m.rg != nil {
 			// Sum every partition this node hosts (vshard placements may
 			// put several partitions on one node, e.g. the shm world).
@@ -374,8 +388,8 @@ func (m *UnorderedMap[K, V]) initTxn() {
 		rt:        m.rt,
 		name:      m.name,
 		servers:   m.servers,
-		fnPrepare: m.fn("txn.prepare"),
-		fnDecide:  m.fn("txn.decide"),
+		fnPrepare: m.fns.prefix + "txn.prepare",
+		fnDecide:  m.fns.prefix + "txn.decide",
 		route:     m.route,
 	}
 	bindTxn(m.rt, m.txh.fnPrepare, m.txh.fnDecide, st, func(node int) (int, bool) {
@@ -425,12 +439,15 @@ func (m *UnorderedMap[K, V]) txnHooks() (*txnHooks, error) {
 	return m.txh, nil
 }
 
-// applyWrap composes the dataplane lease-revoke/mirror-publish wrapper
-// and the txn version bump onto a mutation's apply closure. Every
-// non-vshard mutation path applies through it so transactional reads see
-// a version change for any overlapping write, whatever its origin.
-func (m *UnorderedMap[K, V]) applyWrap(p int, kb []byte, act dataplane.PubAction, vb []byte, apply func() bool) func() bool {
-	return m.tx.wrap(p, kb, dpApply(m.dp, p, kb, act, vb, apply))
+// applyAt runs a non-vshard mutation's primary-side apply inside the
+// dataplane's lease-revoke/mirror-publish section (apply alone without a
+// plane), then bumps the key's txn version. Every non-vshard mutation
+// path applies through it so transactional reads see a version change
+// for any overlapping write, whatever its origin.
+func (m *UnorderedMap[K, V]) applyAt(p int, kb []byte, act dataplane.PubAction, vb []byte, apply func() bool) bool {
+	res := m.dp.WrapMutation(p, kb, act, vb, apply)
+	m.tx.bump(p, kb)
+	return res
 }
 
 // txnApplyWrite applies one decided transactional write through the same
@@ -447,11 +464,13 @@ func (m *UnorderedMap[K, V]) txnApplyWrite(p int, verb byte, kb, vb []byte) (int
 		if err != nil {
 			return 0, err
 		}
-		apply := m.applyWrap(p, kb, dataplane.PubValue, vb, func() bool {
-			isNew := m.parts[p].Insert(k, v)
-			m.appendJournalPut(p, databox.EncodePair(kb, vb))
-			return isNew
-		})
+		apply := func() bool {
+			return m.applyAt(p, kb, dataplane.PubValue, vb, func() bool {
+				isNew := m.parts[p].Insert(k, v)
+				m.appendJournalPut(p, databox.EncodePair(kb, vb))
+				return isNew
+			})
+		}
 		if m.repl != nil {
 			_, fcost, rerr := m.repl.mutate(p, replPut, kb, vb, apply)
 			return fcost, rerr
@@ -459,11 +478,13 @@ func (m *UnorderedMap[K, V]) txnApplyWrite(p int, verb byte, kb, vb []byte) (int
 		apply()
 		return 0, nil
 	case txnVerbDel:
-		apply := m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
-			ok := m.parts[p].Delete(k)
-			m.appendJournalDel(p, kb)
-			return ok
-		})
+		apply := func() bool {
+			return m.applyAt(p, kb, dataplane.PubClear, nil, func() bool {
+				ok := m.parts[p].Delete(k)
+				m.appendJournalDel(p, kb)
+				return ok
+			})
+		}
 		if m.repl != nil {
 			_, fcost, rerr := m.repl.mutate(p, replDel, kb, nil, apply)
 			return fcost, rerr
@@ -476,10 +497,17 @@ func (m *UnorderedMap[K, V]) txnApplyWrite(p int, verb byte, kb, vb []byte) (int
 
 // mutateLocal runs the hybrid-path form of a replicated mutation: the
 // co-located writer still walks the full forward-first protocol (it
-// cannot bypass the quorum), then bills the forward time to its own
-// clock. rerr, when set, wraps ErrDegraded: nothing was applied.
-func (m *UnorderedMap[K, V]) mutateLocal(r *cluster.Rank, p int, verb byte, kb, vb []byte, op string, apply func() bool) (bool, error) {
-	res, fcost, rerr := m.repl.mutate(p, verb, kb, vb, apply)
+// cannot bypass the quorum), applying through applyAt with act, then
+// bills the forward time to its own clock. rerr, when set, wraps
+// ErrDegraded: nothing was applied.
+func (m *UnorderedMap[K, V]) mutateLocal(r *cluster.Rank, p int, verb byte, kb, vb []byte, op string, act dataplane.PubAction, apply func() bool) (bool, error) {
+	pub := vb
+	if act == dataplane.PubClear {
+		pub = nil
+	}
+	res, fcost, rerr := m.repl.mutate(p, verb, kb, vb, func() bool {
+		return m.applyAt(p, kb, act, pub, apply)
+	})
 	m.rt.localCharge(r, len(kb)+len(vb), 2, "umap", m.name, op)
 	r.Clock().Advance(fcost)
 	return res, rerr
@@ -645,7 +673,8 @@ func (m *UnorderedMap[K, V]) mergeLocal(p int, k K, v V) bool {
 // invocation (e.g. histogram increments), which the client-side baseline
 // cannot express without extra round trips.
 func (m *UnorderedMap[K, V]) Merge(r *cluster.Rank, k K, v V) (bool, error) {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -653,9 +682,9 @@ func (m *UnorderedMap[K, V]) Merge(r *cluster.Rank, k K, v V) (bool, error) {
 	if m.opt.hybrid && node == r.Node() {
 		if m.rg != nil {
 			isNew := m.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 					return m.mergeLocal(p, k, v)
-				})()
+				})
 			})
 			m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 3, "umap", m.name, "merge")
 			return isNew, nil
@@ -665,29 +694,28 @@ func (m *UnorderedMap[K, V]) Merge(r *cluster.Rank, k K, v V) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			return m.mutateLocal(r, p, replMerge, kb, vb, "merge", m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+			return m.mutateLocal(r, p, replMerge, kb, vb, "merge", dataplane.PubClear, func() bool {
 				isNew := m.mergeLocal(p, k, v)
 				m.journalMerged(p, kb, k)
 				return isNew
-			}))
+			})
 		}
-		isNew := m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+		isNew := m.applyAt(p, kb, dataplane.PubClear, nil, func() bool {
 			n := m.mergeLocal(p, k, v)
 			m.journalMerged(p, kb, k)
 			return n
-		})()
+		})
 		m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 3, "umap", m.name, "merge")
 		return isNew, nil
 	}
-	vb, err := m.vbox.Encode(v)
+	arg, vb, err := encodePair(m.vbox, kb, v)
 	if err != nil {
 		return false, err
 	}
-	arg := databox.EncodePair(kb, vb)
 	if m.repl != nil {
-		return m.repl.invokeMutation(r, node, m.fn("merge"), arg, replMerge, p, kb, vb)
+		return m.repl.invokeMutation(r, node, m.fns.merge, arg, replMerge, p, kb, vb)
 	}
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("merge"), arg)
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.merge, arg)
 	if err != nil {
 		return false, err
 	}
@@ -696,7 +724,8 @@ func (m *UnorderedMap[K, V]) Merge(r *cluster.Rank, k K, v V) (bool, error) {
 
 // MergeAsync is the future-returning form of Merge.
 func (m *UnorderedMap[K, V]) MergeAsync(r *cluster.Rank, k K, v V) *Future[bool] {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return immediateFuture(false, err)
 	}
@@ -704,9 +733,9 @@ func (m *UnorderedMap[K, V]) MergeAsync(r *cluster.Rank, k K, v V) *Future[bool]
 	if m.opt.hybrid && node == r.Node() {
 		if m.rg != nil {
 			isNew := m.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 					return m.mergeLocal(p, k, v)
-				})()
+				})
 			})
 			m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 3, "umap", m.name, "merge")
 			return immediateFuture(isNew, nil)
@@ -716,26 +745,26 @@ func (m *UnorderedMap[K, V]) MergeAsync(r *cluster.Rank, k K, v V) *Future[bool]
 			if err != nil {
 				return immediateFuture(false, err)
 			}
-			isNew, rerr := m.mutateLocal(r, p, replMerge, kb, vb, "merge", m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+			isNew, rerr := m.mutateLocal(r, p, replMerge, kb, vb, "merge", dataplane.PubClear, func() bool {
 				n := m.mergeLocal(p, k, v)
 				m.journalMerged(p, kb, k)
 				return n
-			}))
+			})
 			return immediateFuture(isNew, rerr)
 		}
-		isNew := m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+		isNew := m.applyAt(p, kb, dataplane.PubClear, nil, func() bool {
 			n := m.mergeLocal(p, k, v)
 			m.journalMerged(p, kb, k)
 			return n
-		})()
+		})
 		m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 3, "umap", m.name, "merge")
 		return immediateFuture(isNew, nil)
 	}
-	vb, err := m.vbox.Encode(v)
+	arg, _, err := encodePair(m.vbox, kb, v)
 	if err != nil {
 		return immediateFuture(false, err)
 	}
-	raw := m.rt.engine.InvokeAsync(r, node, m.fn("merge"), databox.EncodePair(kb, vb))
+	raw := m.rt.engine.InvokeAsync(r, node, m.fns.merge, arg)
 	if m.repl != nil {
 		return remoteFuture(raw, m.repl.decodeMutResp)
 	}
@@ -745,7 +774,8 @@ func (m *UnorderedMap[K, V]) MergeAsync(r *cluster.Rank, k K, v V) *Future[bool]
 // Insert stores v under k. It returns true when the key was newly
 // inserted into its partition.
 func (m *UnorderedMap[K, V]) Insert(r *cluster.Rank, k K, v V) (bool, error) {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -753,9 +783,9 @@ func (m *UnorderedMap[K, V]) Insert(r *cluster.Rank, k K, v V) (bool, error) {
 	if m.opt.hybrid && node == r.Node() {
 		if m.rg != nil {
 			isNew := m.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 					return m.parts[p].Insert(k, v)
-				})()
+				})
 			})
 			m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 2, "umap", m.name, "insert")
 			if isNew {
@@ -768,11 +798,11 @@ func (m *UnorderedMap[K, V]) Insert(r *cluster.Rank, k K, v V) (bool, error) {
 			if err != nil {
 				return false, fmt.Errorf("hcl: %s: encode value: %w", m.name, err)
 			}
-			isNew, rerr := m.mutateLocal(r, p, replPut, kb, vb, "insert", m.applyWrap(p, kb, dataplane.PubValue, vb, func() bool {
+			isNew, rerr := m.mutateLocal(r, p, replPut, kb, vb, "insert", dataplane.PubValue, func() bool {
 				n := m.parts[p].Insert(k, v)
 				m.appendJournalPut(p, databox.EncodePair(kb, vb))
 				return n
-			}))
+			})
 			if rerr == nil && isNew {
 				m.chargeAlloc(r, node, len(kb)+len(vb))
 			}
@@ -781,9 +811,9 @@ func (m *UnorderedMap[K, V]) Insert(r *cluster.Rank, k K, v V) (bool, error) {
 		// Hybrid path: direct shared-memory access, no RPC, no
 		// serialization of the value — so the mirror slot is cleared, not
 		// published (publishing would force the encode this path avoids).
-		isNew := m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+		isNew := m.applyAt(p, kb, dataplane.PubClear, nil, func() bool {
 			return m.parts[p].Insert(k, v)
-		})()
+		})
 		m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 2, "umap", m.name, "insert")
 		m.appendJournalEncoded(p, kb, v, m.vbox)
 		if isNew {
@@ -791,19 +821,18 @@ func (m *UnorderedMap[K, V]) Insert(r *cluster.Rank, k K, v V) (bool, error) {
 		}
 		return isNew, nil
 	}
-	vb, err := m.vbox.Encode(v)
+	arg, vb, err := encodePair(m.vbox, kb, v)
 	if err != nil {
 		return false, fmt.Errorf("hcl: %s: encode value: %w", m.name, err)
 	}
-	arg := databox.EncodePair(kb, vb)
 	if m.repl != nil {
-		isNew, err := m.repl.invokeMutation(r, node, m.fn("insert"), arg, replPut, p, kb, vb)
+		isNew, err := m.repl.invokeMutation(r, node, m.fns.insert, arg, replPut, p, kb, vb)
 		if err == nil && isNew {
 			m.chargeAlloc(r, node, len(kb)+len(vb))
 		}
 		return isNew, err
 	}
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("insert"), arg)
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.insert, arg)
 	if err != nil {
 		return false, err
 	}
@@ -825,7 +854,8 @@ func (m *UnorderedMap[K, V]) chargeAlloc(r *cluster.Rank, node, bytes int) {
 
 // InsertAsync is the future-returning form of Insert.
 func (m *UnorderedMap[K, V]) InsertAsync(r *cluster.Rank, k K, v V) *Future[bool] {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return immediateFuture(false, err)
 	}
@@ -833,9 +863,9 @@ func (m *UnorderedMap[K, V]) InsertAsync(r *cluster.Rank, k K, v V) *Future[bool
 	if m.opt.hybrid && node == r.Node() {
 		if m.rg != nil {
 			isNew := m.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 					return m.parts[p].Insert(k, v)
-				})()
+				})
 			})
 			m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 2, "umap", m.name, "insert")
 			return immediateFuture(isNew, nil)
@@ -845,25 +875,25 @@ func (m *UnorderedMap[K, V]) InsertAsync(r *cluster.Rank, k K, v V) *Future[bool
 			if err != nil {
 				return immediateFuture(false, err)
 			}
-			isNew, rerr := m.mutateLocal(r, p, replPut, kb, vb, "insert", m.applyWrap(p, kb, dataplane.PubValue, vb, func() bool {
+			isNew, rerr := m.mutateLocal(r, p, replPut, kb, vb, "insert", dataplane.PubValue, func() bool {
 				n := m.parts[p].Insert(k, v)
 				m.appendJournalPut(p, databox.EncodePair(kb, vb))
 				return n
-			}))
+			})
 			return immediateFuture(isNew, rerr)
 		}
-		isNew := m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+		isNew := m.applyAt(p, kb, dataplane.PubClear, nil, func() bool {
 			return m.parts[p].Insert(k, v)
-		})()
+		})
 		m.rt.localCharge(r, len(kb)+payloadSize(m.vbox, v), 2, "umap", m.name, "insert")
 		m.appendJournalEncoded(p, kb, v, m.vbox)
 		return immediateFuture(isNew, nil)
 	}
-	vb, err := m.vbox.Encode(v)
+	arg, _, err := encodePair(m.vbox, kb, v)
 	if err != nil {
 		return immediateFuture(false, err)
 	}
-	raw := m.rt.engine.InvokeAsync(r, node, m.fn("insert"), databox.EncodePair(kb, vb))
+	raw := m.rt.engine.InvokeAsync(r, node, m.fns.insert, arg)
 	if m.repl != nil {
 		return remoteFuture(raw, m.repl.decodeMutResp)
 	}
@@ -873,7 +903,8 @@ func (m *UnorderedMap[K, V]) InsertAsync(r *cluster.Rank, k K, v V) *Future[bool
 // Find returns the value stored under k.
 func (m *UnorderedMap[K, V]) Find(r *cluster.Rank, k K) (V, bool, error) {
 	var zero V
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return zero, false, err
 	}
@@ -917,7 +948,7 @@ func (m *UnorderedMap[K, V]) Find(r *cluster.Rank, k K) (V, bool, error) {
 			return v, true, nil
 		}
 	}
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("find"), kb)
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.find, kb)
 	if err != nil {
 		// Read-failover: a dead primary does not fail the read when a
 		// replica still holds the partition's acked state.
@@ -942,7 +973,8 @@ func (m *UnorderedMap[K, V]) Find(r *cluster.Rank, k K) (V, bool, error) {
 
 // FindAsync is the future-returning form of Find.
 func (m *UnorderedMap[K, V]) FindAsync(r *cluster.Rank, k K) *Future[FindResult[V]] {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return immediateFuture(FindResult[V]{}, err)
 	}
@@ -974,7 +1006,7 @@ func (m *UnorderedMap[K, V]) FindAsync(r *cluster.Rank, k K) *Future[FindResult[
 			return immediateFuture(FindResult[V]{Value: v, OK: true}, nil)
 		}
 	}
-	raw := m.rt.engine.InvokeAsync(r, node, m.fn("find"), kb)
+	raw := m.rt.engine.InvokeAsync(r, node, m.fns.find, kb)
 	return remoteFuture(raw, func(resp []byte) (FindResult[V], error) {
 		v, ok, err := m.decodeFind(resp)
 		return FindResult[V]{Value: v, OK: ok}, err
@@ -998,7 +1030,8 @@ func (m *UnorderedMap[K, V]) decodeFind(resp []byte) (V, bool, error) {
 
 // Erase removes k, reporting whether it was present.
 func (m *UnorderedMap[K, V]) Erase(r *cluster.Rank, k K) (bool, error) {
-	p, kb, err := m.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := m.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -1006,32 +1039,32 @@ func (m *UnorderedMap[K, V]) Erase(r *cluster.Rank, k K) (bool, error) {
 	if m.opt.hybrid && node == r.Node() {
 		if m.rg != nil {
 			ok := m.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(m.dp, p, kb, dataplane.PubClear, nil, func() bool {
+				return m.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 					return m.parts[p].Delete(k)
-				})()
+				})
 			})
 			m.rt.localCharge(r, len(kb), 2, "umap", m.name, "erase")
 			return ok, nil
 		}
 		if m.repl != nil {
-			return m.mutateLocal(r, p, replDel, kb, nil, "erase", m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+			return m.mutateLocal(r, p, replDel, kb, nil, "erase", dataplane.PubClear, func() bool {
 				ok := m.parts[p].Delete(k)
 				m.appendJournalDel(p, kb)
 				return ok
-			}))
+			})
 		}
-		ok := m.applyWrap(p, kb, dataplane.PubClear, nil, func() bool {
+		ok := m.applyAt(p, kb, dataplane.PubClear, nil, func() bool {
 			n := m.parts[p].Delete(k)
 			m.appendJournalDel(p, kb)
 			return n
-		})()
+		})
 		m.rt.localCharge(r, len(kb), 2, "umap", m.name, "erase")
 		return ok, nil
 	}
 	if m.repl != nil {
-		return m.repl.invokeMutation(r, node, m.fn("erase"), kb, replDel, p, kb, nil)
+		return m.repl.invokeMutation(r, node, m.fns.erase, kb, replDel, p, kb, nil)
 	}
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("erase"), kb)
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.erase, kb)
 	if err != nil {
 		return false, err
 	}
@@ -1061,7 +1094,7 @@ func (m *UnorderedMap[K, V]) Resize(r *cluster.Rank, partitionID, newSize int) (
 		binary.LittleEndian.PutUint64(arg[8:], uint64(partitionID))
 		wire = arg[:16]
 	}
-	resp, err := m.rt.engine.Invoke(r, node, m.fn("resize"), wire)
+	resp, err := m.rt.engine.Invoke(r, node, m.fns.resize, wire)
 	if err != nil {
 		return false, err
 	}
@@ -1092,7 +1125,7 @@ func (m *UnorderedMap[K, V]) Size(r *cluster.Rank) (int, error) {
 				m.rt.localCharge(r, 0, 1, "umap", m.name, "size")
 				continue
 			}
-			resp, err := m.rt.engine.Invoke(r, node, m.fn("size"), nil)
+			resp, err := m.rt.engine.Invoke(r, node, m.fns.size, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -1106,7 +1139,7 @@ func (m *UnorderedMap[K, V]) Size(r *cluster.Rank) (int, error) {
 			m.rt.localCharge(r, 0, 1, "umap", m.name, "size")
 			continue
 		}
-		resp, err := m.rt.engine.Invoke(r, node, m.fn("size"), nil)
+		resp, err := m.rt.engine.Invoke(r, node, m.fns.size, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -1132,11 +1165,33 @@ type FindResult[V any] struct {
 
 // Helpers shared by the container implementations -----------------------
 
-func boolByte(b bool) []byte {
+// bit encodes a bool as the byte a response carries.
+func bit(b bool) byte {
 	if b {
-		return []byte{1}
+		return 1
 	}
-	return []byte{0}
+	return 0
+}
+
+// foundReply builds the framed [status][found=1][value] reply of a find
+// or pop in one buffer.
+func foundReply[T any](box *databox.Box[T], v T) ([]byte, error) {
+	n, _ := box.EncodedLen(v)
+	return box.AppendEncode(append(ror.Reply(1+n), 1), v)
+}
+
+// Framed one-byte replies (ror.BindFramed), shared by every handler and
+// never written: the status byte, then the container's payload byte.
+var (
+	replyFalse = append(ror.Reply(1), 0)
+	replyTrue  = append(ror.Reply(1), 1)
+)
+
+func boolReply(b bool) []byte {
+	if b {
+		return replyTrue
+	}
+	return replyFalse
 }
 
 func decodeBool(resp []byte) (bool, error) {
@@ -1144,6 +1199,63 @@ func decodeBool(resp []byte) (bool, error) {
 		return false, fmt.Errorf("hcl: bad bool response length %d", len(resp))
 	}
 	return resp[0] != 0, nil
+}
+
+// encodePair builds the [key][value] argument of a keyed mutation. When
+// the value's encoded size is known up front it is encoded straight into
+// the one exactly-sized argument; vb aliases the value field.
+func encodePair[V any](box *databox.Box[V], kb []byte, v V) (arg, vb []byte, err error) {
+	n, known := box.EncodedLen(v)
+	if !known {
+		if vb, err = box.Encode(v); err != nil {
+			return nil, nil, err
+		}
+		return databox.EncodePair(kb, vb), vb, nil
+	}
+	arg = make([]byte, 0, 2*binary.MaxVarintLen64+len(kb)+n)
+	arg = databox.AppendField(arg, kb)
+	arg = binary.AppendUvarint(arg, uint64(n))
+	off := len(arg)
+	if arg, err = box.AppendEncode(arg, v); err != nil {
+		return nil, nil, err
+	}
+	return arg, arg[off:], nil
+}
+
+// appendField appends v's encoding to dst as one length-prefixed field
+// (databox.AppendField), encoding in place when its size is known.
+func appendField[T any](box *databox.Box[T], dst []byte, v T) ([]byte, error) {
+	if n, ok := box.EncodedLen(v); ok {
+		return box.AppendEncode(binary.AppendUvarint(dst, uint64(n)), v)
+	}
+	vb, err := box.Encode(v)
+	if err != nil {
+		return nil, err
+	}
+	return databox.AppendField(dst, vb), nil
+}
+
+// listCap is the room databox.EncodeList over n values of box needs:
+// exact up to varint slack for fixed-size values, a floor otherwise.
+func listCap[T any](box *databox.Box[T], n int) int {
+	size := binary.MaxVarintLen64
+	if w, ok := box.Fixed(); ok {
+		size += n * (w + binary.MaxVarintLen64)
+	}
+	return size
+}
+
+// appendList appends databox.EncodeList over the encodings of vals to
+// dst, building the list in dst's buffer (see listCap).
+func appendList[T any](dst []byte, box *databox.Box[T], vals []T) ([]byte, error) {
+	out := binary.AppendUvarint(dst, uint64(len(vals)))
+	for _, v := range vals {
+		var err error
+		if out, err = appendField(box, out, v); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // payloadSize estimates the in-memory size of a value for hybrid-path cost

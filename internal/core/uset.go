@@ -11,6 +11,7 @@ import (
 	"hcl/internal/dataplane"
 	"hcl/internal/fabric"
 	"hcl/internal/reshard"
+	"hcl/internal/ror"
 )
 
 // UnorderedSet is HCL::unordered_set — the key-only sibling of
@@ -19,6 +20,7 @@ import (
 // which is why the paper measures sets 7-14% faster than maps.
 type UnorderedSet[K comparable] struct {
 	rt      *Runtime
+	fns     keyedVerbs
 	name    string
 	opt     options
 	servers []int
@@ -47,6 +49,7 @@ func NewUnorderedSet[K comparable](rt *Runtime, name string, opts ...Option) (*U
 	}
 	s := &UnorderedSet[K]{
 		rt:      rt,
+		fns:     newKeyedVerbs("uset", name),
 		name:    name,
 		opt:     o,
 		servers: servers,
@@ -63,7 +66,7 @@ func NewUnorderedSet[K comparable](rt *Runtime, name string, opts ...Option) (*U
 		return nil, err
 	}
 	s.rg = rg
-	s.repl = newReplGroup(rt, name, s.fn(""), servers, s.byNode,
+	s.repl = newReplGroup(rt, name, s.fns.prefix, servers, s.byNode,
 		func(p int) replPart[K, struct{}] { return s.parts[p] },
 		s.kbox, nil, true, o)
 	s.dp = newPlane(rt, "uset", name, servers, o, true)
@@ -71,13 +74,13 @@ func NewUnorderedSet[K comparable](rt *Runtime, name string, opts ...Option) (*U
 	if s.dp != nil {
 		// Client-side cache check before aggregation: a membership test
 		// answered by an unexpired lease never joins a batch bucket.
-		rt.engine.SetReadThrough(s.fn("find"), func(arg []byte) ([]byte, bool) {
+		rt.engine.SetReadThrough(s.fns.find, func(arg []byte) ([]byte, bool) {
 			p := s.route(arg)
 			_, ok, hit := s.dp.CacheGet(p, arg, 0)
 			if !hit {
 				return nil, false
 			}
-			return boolByte(ok), true
+			return []byte{bit(ok)}, true
 		})
 	}
 	return s, nil
@@ -89,10 +92,13 @@ func (s *UnorderedSet[K]) Name() string { return s.name }
 // Partitions reports the number of partitions.
 func (s *UnorderedSet[K]) Partitions() int { return len(s.servers) }
 
-func (s *UnorderedSet[K]) fn(op string) string { return "uset." + s.name + "." + op }
-
 func (s *UnorderedSet[K]) partitionOf(k K) (int, []byte, error) {
-	kb, err := s.kbox.Encode(k)
+	return s.partitionOnto(nil, k)
+}
+
+// partitionOnto is partitionOf encoding the key onto buf[:0].
+func (s *UnorderedSet[K]) partitionOnto(buf []byte, k K) (int, []byte, error) {
+	kb, err := s.kbox.AppendEncode(buf[:0], k)
 	if err != nil {
 		return 0, nil, fmt.Errorf("hcl: %s: encode key: %w", s.name, err)
 	}
@@ -112,7 +118,7 @@ func (s *UnorderedSet[K]) route(kb []byte) int {
 func (s *UnorderedSet[K]) bind() {
 	e := s.rt.engine
 	cm := s.rt.model
-	e.Bind(s.fn("insert"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, s.fns.insert, func(node int, arg []byte) ([]byte, int64) {
 		k, err := s.kbox.Decode(arg)
 		if err != nil {
 			panic(err)
@@ -120,25 +126,27 @@ func (s *UnorderedSet[K]) bind() {
 		cost := cm.LocalOpNS + cm.MemTime(len(arg))
 		if s.rg != nil {
 			isNew := s.rg.Mutate(StableHash64(arg), func(p int) bool {
-				return dpApply(s.dp, p, arg, dataplane.PubValue, nil, func() bool {
+				return s.dp.WrapMutation(p, arg, dataplane.PubValue, nil, func() bool {
 					return s.parts[p].Insert(k, struct{}{})
-				})()
+				})
 			})
-			return boolByte(isNew), cost
+			return boolReply(isNew), cost
 		}
 		p := s.byNode[node]
 		// A set element's mirror entry is presence itself: PubValue with an
 		// empty value publishes "k is a member" to one-sided readers.
-		apply := dpApply(s.dp, p, arg, dataplane.PubValue, nil, func() bool {
-			return s.parts[p].Insert(k, struct{}{})
-		})
+		apply := func() bool {
+			return s.dp.WrapMutation(p, arg, dataplane.PubValue, nil, func() bool {
+				return s.parts[p].Insert(k, struct{}{})
+			})
+		}
 		if s.repl == nil {
-			return boolByte(apply()), cost
+			return boolReply(apply()), cost
 		}
 		isNew, fcost, rerr := s.repl.mutate(p, replPut, arg, nil, apply)
-		return mutResp(isNew, rerr), cost + fcost
+		return mutReply(isNew, rerr), cost + fcost
 	})
-	e.Bind(s.fn("find"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, s.fns.find, func(node int, arg []byte) ([]byte, int64) {
 		k, err := s.kbox.Decode(arg)
 		if err != nil {
 			panic(err)
@@ -155,40 +163,42 @@ func (s *UnorderedSet[K]) bind() {
 		if s.rg != nil {
 			var ok bool
 			s.rg.Read(StableHash64(arg), func(p int) { ok = serve(p) })
-			return boolByte(ok), cm.LocalOpNS
+			return boolReply(ok), cm.LocalOpNS
 		}
 		p := s.byNode[node]
 		if s.repl != nil && s.repl.isDead(p) {
 			// Crashed, awaiting repair: the wiped primary must not serve
 			// reads. The marker sends the client to a replica.
-			return deadResp(), cm.LocalOpNS
+			return deadReply(), cm.LocalOpNS
 		}
-		return boolByte(serve(p)), cm.LocalOpNS
+		return boolReply(serve(p)), cm.LocalOpNS
 	})
-	e.Bind(s.fn("erase"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, s.fns.erase, func(node int, arg []byte) ([]byte, int64) {
 		k, err := s.kbox.Decode(arg)
 		if err != nil {
 			panic(err)
 		}
 		if s.rg != nil {
 			ok := s.rg.Mutate(StableHash64(arg), func(p int) bool {
-				return dpApply(s.dp, p, arg, dataplane.PubClear, nil, func() bool {
+				return s.dp.WrapMutation(p, arg, dataplane.PubClear, nil, func() bool {
 					return s.parts[p].Delete(k)
-				})()
+				})
 			})
-			return boolByte(ok), cm.LocalOpNS
+			return boolReply(ok), cm.LocalOpNS
 		}
 		p := s.byNode[node]
-		apply := dpApply(s.dp, p, arg, dataplane.PubClear, nil, func() bool {
-			return s.parts[p].Delete(k)
-		})
+		apply := func() bool {
+			return s.dp.WrapMutation(p, arg, dataplane.PubClear, nil, func() bool {
+				return s.parts[p].Delete(k)
+			})
+		}
 		if s.repl == nil {
-			return boolByte(apply()), cm.LocalOpNS
+			return boolReply(apply()), cm.LocalOpNS
 		}
 		ok, fcost, rerr := s.repl.mutate(p, replDel, arg, nil, apply)
-		return mutResp(ok, rerr), cm.LocalOpNS + fcost
+		return mutReply(ok, rerr), cm.LocalOpNS + fcost
 	})
-	e.Bind(s.fn("resize"), func(node int, arg []byte) ([]byte, int64) {
+	ror.BindFramed(e, s.fns.resize, func(node int, arg []byte) ([]byte, int64) {
 		p := s.byNode[node]
 		if len(arg) == 16 {
 			// Vshard-routed containers address the partition explicitly.
@@ -196,9 +206,9 @@ func (s *UnorderedSet[K]) bind() {
 		}
 		n := s.parts[p].Len()
 		s.parts[p].Reserve(int(binary.LittleEndian.Uint64(arg[:8])))
-		return boolByte(true), int64(n) * 2 * cm.LocalOpNS
+		return replyTrue, int64(n) * 2 * cm.LocalOpNS
 	})
-	e.Bind(s.fn("size"), func(node int, arg []byte) ([]byte, int64) {
+	e.Bind(s.fns.size, func(node int, arg []byte) ([]byte, int64) {
 		if s.rg != nil {
 			total := 0
 			for p, n := range s.servers {
@@ -219,7 +229,8 @@ func (s *UnorderedSet[K]) bind() {
 
 // Insert adds k, returning true when it was not already present.
 func (s *UnorderedSet[K]) Insert(r *cluster.Rank, k K) (bool, error) {
-	p, kb, err := s.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := s.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -227,28 +238,30 @@ func (s *UnorderedSet[K]) Insert(r *cluster.Rank, k K) (bool, error) {
 	if s.opt.hybrid && node == r.Node() {
 		if s.rg != nil {
 			isNew := s.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(s.dp, p, kb, dataplane.PubValue, nil, func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubValue, nil, func() bool {
 					return s.parts[p].Insert(k, struct{}{})
-				})()
+				})
 			})
 			s.rt.localCharge(r, len(kb), 2, "uset", s.name, "insert")
 			return isNew, nil
 		}
 		if s.repl != nil {
-			return s.mutateLocal(r, p, replPut, kb, "insert", dpApply(s.dp, p, kb, dataplane.PubValue, nil, func() bool {
-				return s.parts[p].Insert(k, struct{}{})
-			}))
+			return s.mutateLocal(r, p, replPut, kb, "insert", func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubValue, nil, func() bool {
+					return s.parts[p].Insert(k, struct{}{})
+				})
+			})
 		}
-		isNew := dpApply(s.dp, p, kb, dataplane.PubValue, nil, func() bool {
+		isNew := s.dp.WrapMutation(p, kb, dataplane.PubValue, nil, func() bool {
 			return s.parts[p].Insert(k, struct{}{})
-		})()
+		})
 		s.rt.localCharge(r, len(kb), 2, "uset", s.name, "insert")
 		return isNew, nil
 	}
 	if s.repl != nil {
-		return s.repl.invokeMutation(r, node, s.fn("insert"), kb, replPut, p, kb, nil)
+		return s.repl.invokeMutation(r, node, s.fns.insert, kb, replPut, p, kb, nil)
 	}
-	resp, err := s.rt.engine.Invoke(r, node, s.fn("insert"), kb)
+	resp, err := s.rt.engine.Invoke(r, node, s.fns.insert, kb)
 	if err != nil {
 		return false, err
 	}
@@ -387,7 +400,8 @@ func (s *UnorderedSet[K]) FlushReplication() {
 
 // InsertAsync is the future-returning form of Insert.
 func (s *UnorderedSet[K]) InsertAsync(r *cluster.Rank, k K) *Future[bool] {
-	p, kb, err := s.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := s.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return immediateFuture(false, err)
 	}
@@ -395,26 +409,28 @@ func (s *UnorderedSet[K]) InsertAsync(r *cluster.Rank, k K) *Future[bool] {
 	if s.opt.hybrid && node == r.Node() {
 		if s.rg != nil {
 			isNew := s.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(s.dp, p, kb, dataplane.PubValue, nil, func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubValue, nil, func() bool {
 					return s.parts[p].Insert(k, struct{}{})
-				})()
+				})
 			})
 			s.rt.localCharge(r, len(kb), 2, "uset", s.name, "insert")
 			return immediateFuture(isNew, nil)
 		}
 		if s.repl != nil {
-			isNew, rerr := s.mutateLocal(r, p, replPut, kb, "insert", dpApply(s.dp, p, kb, dataplane.PubValue, nil, func() bool {
-				return s.parts[p].Insert(k, struct{}{})
-			}))
+			isNew, rerr := s.mutateLocal(r, p, replPut, kb, "insert", func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubValue, nil, func() bool {
+					return s.parts[p].Insert(k, struct{}{})
+				})
+			})
 			return immediateFuture(isNew, rerr)
 		}
-		isNew := dpApply(s.dp, p, kb, dataplane.PubValue, nil, func() bool {
+		isNew := s.dp.WrapMutation(p, kb, dataplane.PubValue, nil, func() bool {
 			return s.parts[p].Insert(k, struct{}{})
-		})()
+		})
 		s.rt.localCharge(r, len(kb), 2, "uset", s.name, "insert")
 		return immediateFuture(isNew, nil)
 	}
-	raw := s.rt.engine.InvokeAsync(r, node, s.fn("insert"), kb)
+	raw := s.rt.engine.InvokeAsync(r, node, s.fns.insert, kb)
 	if s.repl != nil {
 		return remoteFuture(raw, s.repl.decodeMutResp)
 	}
@@ -423,7 +439,8 @@ func (s *UnorderedSet[K]) InsertAsync(r *cluster.Rank, k K) *Future[bool] {
 
 // Find reports whether k is in the set.
 func (s *UnorderedSet[K]) Find(r *cluster.Rank, k K) (bool, error) {
-	p, kb, err := s.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := s.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -452,7 +469,7 @@ func (s *UnorderedSet[K]) Find(r *cluster.Rank, k K) (bool, error) {
 	if _, ok := dpRouteRead(s.dp, r, p, kb); ok {
 		return true, nil
 	}
-	resp, err := s.rt.engine.Invoke(r, node, s.fn("find"), kb)
+	resp, err := s.rt.engine.Invoke(r, node, s.fns.find, kb)
 	if err != nil {
 		// Read-failover: a dead primary does not fail the read when a
 		// replica still holds the partition's acked state.
@@ -477,7 +494,8 @@ func (s *UnorderedSet[K]) Find(r *cluster.Rank, k K) (bool, error) {
 
 // Erase removes k, reporting whether it was present.
 func (s *UnorderedSet[K]) Erase(r *cluster.Rank, k K) (bool, error) {
-	p, kb, err := s.partitionOf(k)
+	var kbuf [keyBuf]byte
+	p, kb, err := s.partitionOnto(kbuf[:], k)
 	if err != nil {
 		return false, err
 	}
@@ -485,28 +503,30 @@ func (s *UnorderedSet[K]) Erase(r *cluster.Rank, k K) (bool, error) {
 	if s.opt.hybrid && node == r.Node() {
 		if s.rg != nil {
 			ok := s.rg.Mutate(StableHash64(kb), func(p int) bool {
-				return dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 					return s.parts[p].Delete(k)
-				})()
+				})
 			})
 			s.rt.localCharge(r, len(kb), 2, "uset", s.name, "erase")
 			return ok, nil
 		}
 		if s.repl != nil {
-			return s.mutateLocal(r, p, replDel, kb, "erase", dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
-				return s.parts[p].Delete(k)
-			}))
+			return s.mutateLocal(r, p, replDel, kb, "erase", func() bool {
+				return s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
+					return s.parts[p].Delete(k)
+				})
+			})
 		}
-		ok := dpApply(s.dp, p, kb, dataplane.PubClear, nil, func() bool {
+		ok := s.dp.WrapMutation(p, kb, dataplane.PubClear, nil, func() bool {
 			return s.parts[p].Delete(k)
-		})()
+		})
 		s.rt.localCharge(r, len(kb), 2, "uset", s.name, "erase")
 		return ok, nil
 	}
 	if s.repl != nil {
-		return s.repl.invokeMutation(r, node, s.fn("erase"), kb, replDel, p, kb, nil)
+		return s.repl.invokeMutation(r, node, s.fns.erase, kb, replDel, p, kb, nil)
 	}
-	resp, err := s.rt.engine.Invoke(r, node, s.fn("erase"), kb)
+	resp, err := s.rt.engine.Invoke(r, node, s.fns.erase, kb)
 	if err != nil {
 		return false, err
 	}
@@ -532,7 +552,7 @@ func (s *UnorderedSet[K]) Resize(r *cluster.Rank, partitionID, newSize int) (boo
 		binary.LittleEndian.PutUint64(arg[8:], uint64(partitionID))
 		wire = arg[:16]
 	}
-	resp, err := s.rt.engine.Invoke(r, node, s.fn("resize"), wire)
+	resp, err := s.rt.engine.Invoke(r, node, s.fns.resize, wire)
 	if err != nil {
 		return false, err
 	}
@@ -560,7 +580,7 @@ func (s *UnorderedSet[K]) Size(r *cluster.Rank) (int, error) {
 				s.rt.localCharge(r, 0, 1, "uset", s.name, "size")
 				continue
 			}
-			resp, err := s.rt.engine.Invoke(r, node, s.fn("size"), nil)
+			resp, err := s.rt.engine.Invoke(r, node, s.fns.size, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -574,7 +594,7 @@ func (s *UnorderedSet[K]) Size(r *cluster.Rank) (int, error) {
 			s.rt.localCharge(r, 0, 1, "uset", s.name, "size")
 			continue
 		}
-		resp, err := s.rt.engine.Invoke(r, node, s.fn("size"), nil)
+		resp, err := s.rt.engine.Invoke(r, node, s.fns.size, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -40,10 +40,83 @@ func (bincCodec) Unmarshal(data []byte, v any) error {
 	if err != nil {
 		return err
 	}
+	return bincTrailing(data, n)
+}
+
+func bincTrailing(data []byte, n int) error {
 	if n != len(data) {
 		return fmt.Errorf("binc: %d trailing bytes", len(data)-n)
 	}
 	return nil
+}
+
+// grow returns dst with room for n more bytes, reallocating at most once
+// and to exactly that size.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
+	return out
+}
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// appendBincString is binc's string encoding: [uvarint len][bytes].
+func appendBincString(dst []byte, s string) []byte {
+	dst = grow(dst, uvarintLen(uint64(len(s)))+len(s))
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// appendBincBytes is binc's []byte encoding: [0] for nil, else
+// [1][uvarint len][bytes].
+func appendBincBytes(dst, b []byte) []byte {
+	if b == nil {
+		return append(dst, 0)
+	}
+	dst = grow(dst, 1+uvarintLen(uint64(len(b)))+len(b))
+	dst = append(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+// readBincString decodes a binc string into *s, reporting bytes consumed.
+func readBincString(data []byte, s *string) (int, error) {
+	l, n := binary.Uvarint(data)
+	if n <= 0 || l > uint64(len(data)-n) {
+		return 0, errBincShort
+	}
+	*s = string(data[n : n+int(l)])
+	return n + int(l), nil
+}
+
+// readBincBytes decodes a binc []byte into *b (a copy, never aliasing
+// data), reporting bytes consumed.
+func readBincBytes(data []byte, b *[]byte) (int, error) {
+	if len(data) < 1 {
+		return 0, errBincShort
+	}
+	if data[0] == 0 {
+		*b = nil
+		return 1, nil
+	}
+	l, n := binary.Uvarint(data[1:])
+	if n <= 0 || l > uint64(len(data)-1-n) {
+		return 0, errBincShort
+	}
+	p := 1 + n
+	out := make([]byte, l)
+	copy(out, data[p:])
+	*b = out
+	return p + int(l), nil
 }
 
 func bincAppend(out []byte, v reflect.Value) ([]byte, error) {
@@ -177,7 +250,7 @@ func bincRead(data []byte, v reflect.Value) (int, error) {
 		return 8, nil
 	case reflect.String:
 		l, n := binary.Uvarint(data)
-		if n <= 0 || len(data) < n+int(l) {
+		if n <= 0 || l > uint64(len(data)-n) {
 			return 0, errBincShort
 		}
 		v.SetString(string(data[n : n+int(l)]))
@@ -197,7 +270,7 @@ func bincRead(data []byte, v reflect.Value) (int, error) {
 		}
 		p += n
 		if v.Type().Elem().Kind() == reflect.Uint8 {
-			if len(data) < p+int(l) {
+			if l > uint64(len(data)-p) {
 				return 0, errBincShort
 			}
 			b := make([]byte, l)

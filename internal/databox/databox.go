@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"unsafe"
 )
 
 // Marshaler is the custom-serialization hook: a type implementing it is
@@ -34,6 +35,46 @@ type Box[T any] struct {
 	custom  bool // T implements Marshaler/Unmarshaler
 	typeOf  reflect.Type
 	ptrImpl bool // Unmarshaler implemented on *T
+	direct  directKind
+}
+
+// directKind selects a path that bypasses reflection and the Codec
+// interface while producing the same bytes:
+//   - directString/directBytes: T is exactly string or []byte and the
+//     codec is binc itself;
+//   - directFixed: T is a fixed-size number, or an array of them, whose
+//     in-memory bytes on this little-endian host are its encoding.
+type directKind uint8
+
+const (
+	directNone directKind = iota
+	directString
+	directBytes
+	directFixed
+)
+
+// littleEndian reports whether this host stores integers little-endian.
+var littleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// memIsWire reports whether a value of t is stored in memory exactly as
+// appendFixed encodes it: numbers (not bools, whose decode normalizes
+// any nonzero byte) and arrays of them, with no padding.
+func memIsWire(t reflect.Type, fixed int) bool {
+	if !littleEndian || fixed == 0 || int(t.Size()) != fixed {
+		return false
+	}
+	switch t.Kind() {
+	case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+		reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return memIsWire(t.Elem(), int(t.Elem().Size()))
+	}
+	return false
 }
 
 // Option configures a Box.
@@ -72,17 +113,55 @@ func New[T any](opts ...Option) *Box[T] {
 	if !b.custom {
 		b.fixed = fixedSizeOf(t)
 	}
+	if memIsWire(t, b.fixed) {
+		b.direct = directFixed
+	} else if _, binc := cfg.codec.(bincCodec); binc && !b.custom {
+		switch t {
+		case reflect.TypeOf(""):
+			b.direct = directString
+		case reflect.TypeOf([]byte(nil)):
+			b.direct = directBytes
+		}
+	}
 	return b
 }
 
 // Fixed reports whether T takes the byte-copy fast path, and its size.
 func (b *Box[T]) Fixed() (size int, ok bool) { return b.fixed, b.fixed > 0 }
 
+// EncodedLen reports the exact encoded size of v when it is known without
+// encoding (fixed-size types, and strings and byte slices under binc).
+func (b *Box[T]) EncodedLen(v T) (int, bool) {
+	return b.encodedLen(&v)
+}
+
+func (b *Box[T]) encodedLen(v *T) (int, bool) {
+	switch b.direct {
+	case directString:
+		n := len(*(*string)(unsafe.Pointer(v)))
+		return uvarintLen(uint64(n)) + n, true
+	case directBytes:
+		bs := *(*[]byte)(unsafe.Pointer(v))
+		if bs == nil {
+			return 1, true
+		}
+		return 1 + uvarintLen(uint64(len(bs))) + len(bs), true
+	}
+	return b.fixed, b.fixed > 0
+}
+
 // CodecName reports the backend codec name.
 func (b *Box[T]) CodecName() string { return b.codec.Name() }
 
 // Encode serializes v.
 func (b *Box[T]) Encode(v T) ([]byte, error) {
+	if b.direct != directNone {
+		return b.appendDirect(nil, &v), nil
+	}
+	return b.encode(v)
+}
+
+func (b *Box[T]) encode(v T) ([]byte, error) {
 	if b.custom {
 		m, ok := any(v).(Marshaler)
 		if !ok {
@@ -101,23 +180,36 @@ func (b *Box[T]) Encode(v T) ([]byte, error) {
 }
 
 // AppendEncode serializes v onto dst and returns the extended slice.
-// Fixed-size types append their little-endian bytes directly — a caller
-// holding a shared-memory destination (an shm ring frame, an arena
-// mirror slot) encodes in place with no temporary allocation. Custom and
-// codec-backed types marshal as usual and are copied once.
+// Fixed-size types, and strings and byte slices under binc, append their
+// bytes directly — a caller holding a shared-memory destination (an shm
+// ring frame, an arena mirror slot) or a stack array encodes in place
+// with no temporary allocation. Custom and codec-backed types marshal as
+// usual; the result is copied onto a non-empty dst, and returned as is
+// for an empty one.
 func (b *Box[T]) AppendEncode(dst []byte, v T) ([]byte, error) {
+	if b.direct != directNone {
+		return b.appendDirect(dst, &v), nil
+	}
 	if !b.custom && b.fixed > 0 {
 		return appendFixed(dst, reflect.ValueOf(v)), nil
 	}
-	enc, err := b.Encode(v)
-	if err != nil {
-		return nil, err
+	enc, err := b.encode(v)
+	if err != nil || len(dst) == 0 {
+		return enc, err
 	}
 	return append(dst, enc...), nil
 }
 
 // Decode deserializes data into a value of T.
-func (b *Box[T]) Decode(data []byte) (T, error) {
+func (b *Box[T]) Decode(data []byte) (v T, err error) {
+	if b.direct != directNone {
+		err = b.decodeDirect(data, &v)
+		return v, err
+	}
+	return b.decode(data)
+}
+
+func (b *Box[T]) decode(data []byte) (T, error) {
 	var v T
 	if b.custom {
 		u, ok := any(&v).(Unmarshaler)
@@ -143,6 +235,44 @@ func (b *Box[T]) Decode(data []byte) (T, error) {
 		return v, err
 	}
 	return v, nil
+}
+
+// The direct path lives in functions of its own that see v only through
+// a pointer they do not retain: inlined into Encode/Decode, the
+// conversions would move v to the heap on every path.
+
+// appendDirect appends the encoding of *v to dst, growing dst at most
+// once, to exactly the size needed.
+func (b *Box[T]) appendDirect(dst []byte, v *T) []byte {
+	switch b.direct {
+	case directString:
+		return appendBincString(dst, *(*string)(unsafe.Pointer(v)))
+	case directBytes:
+		return appendBincBytes(dst, *(*[]byte)(unsafe.Pointer(v)))
+	}
+	return append(grow(dst, b.fixed), unsafe.Slice((*byte)(unsafe.Pointer(v)), b.fixed)...)
+}
+
+// decodeDirect decodes *v, failing exactly as the reflective decoder
+// does.
+func (b *Box[T]) decodeDirect(data []byte, v *T) error {
+	var n int
+	var err error
+	switch b.direct {
+	case directString:
+		n, err = readBincString(data, (*string)(unsafe.Pointer(v)))
+	case directBytes:
+		n, err = readBincBytes(data, (*[]byte)(unsafe.Pointer(v)))
+	default:
+		if len(data) != b.fixed {
+			return fmt.Errorf("databox: fixed-size %v needs %d bytes, got %d", b.typeOf, b.fixed, len(data))
+		}
+		n = copy(unsafe.Slice((*byte)(unsafe.Pointer(v)), b.fixed), data)
+	}
+	if err != nil {
+		return err
+	}
+	return bincTrailing(data, n)
 }
 
 // fixedSizeOf reports the byte-copy encoded size of t, or 0 when t is not

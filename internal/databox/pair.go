@@ -19,7 +19,7 @@ func AppendField(out, field []byte) []byte {
 // and the remainder.
 func ReadField(data []byte) (field, rest []byte, err error) {
 	l, n := binary.Uvarint(data)
-	if n <= 0 || len(data) < n+int(l) {
+	if n <= 0 || l > uint64(len(data)-n) {
 		return nil, nil, errors.New("databox: truncated field")
 	}
 	return data[n : n+int(l)], data[n+int(l):], nil

@@ -507,7 +507,7 @@ func (f *Fabric) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	worldPeers.CompareAndDelete(peerKey{f.dirKey, f.me}, f)
+	f.detach()
 	f.mf.store64(f.lay.nodeBlockOff(f.me)+nbState, stateDead)
 	close(f.done)
 	f.wakeEveryone()
@@ -533,7 +533,7 @@ func (f *Fabric) KillTorn(victim int) error {
 	if !f.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	worldPeers.CompareAndDelete(peerKey{f.dirKey, f.me}, f)
+	f.detach()
 	close(f.done)
 	f.wakeEveryone()
 	f.failPending(-1, fabric.ErrClosed)

@@ -137,9 +137,20 @@ var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct
 // poller + futex path.
 var worldPeers sync.Map // peerKey -> *Fabric
 
+// worldPeersGen counts changes to worldPeers: every attach and close
+// bumps it, so a fabric's cached peer lookups (peerSlot) stay valid
+// exactly while it is unchanged.
+var worldPeersGen atomic.Uint64
+
 type peerKey struct {
 	dir  string
 	node int
+}
+
+// peerSlot caches one worldPeers lookup, taken at generation gen.
+type peerSlot struct {
+	gen  uint64
+	peer *Fabric
 }
 
 // pendShards stripes the in-flight waiter table by request id, so
@@ -271,6 +282,7 @@ type Fabric struct {
 	sharedOff map[*memory.Segment]uint64 // arena offset + 1
 	attach    sync.Map                   // uint64(node)<<32|id -> fabric.Segment
 
+	peers     []atomic.Pointer[peerSlot] // per node; see inProcPeer
 	deadLocal []atomic.Bool
 	liveMu    sync.Mutex
 	lastBeat  []uint64
@@ -345,6 +357,7 @@ func New(cfg Config) (*Fabric, error) {
 		in:        make([]*inRing, cfg.Nodes),
 		segs:      make(map[int][]fabric.Segment),
 		sharedOff: make(map[*memory.Segment]uint64),
+		peers:     make([]atomic.Pointer[peerSlot], cfg.Nodes),
 		deadLocal: make([]atomic.Bool, cfg.Nodes),
 		lastBeat:  make([]uint64, cfg.Nodes),
 		lastSeen:  make([]time.Time, cfg.Nodes),
@@ -372,16 +385,33 @@ func New(cfg Config) (*Fabric, error) {
 	mf.store64(nb+nbState, stateAlive)
 	f.addPoller(true)
 	worldPeers.Store(peerKey{f.dirKey, f.me}, f) // latest attacher wins
+	worldPeersGen.Add(1)
 	return f, nil
 }
 
+// detach removes this fabric from worldPeers, invalidating every cached
+// lookup of it.
+func (f *Fabric) detach() {
+	worldPeers.CompareAndDelete(peerKey{f.dirKey, f.me}, f)
+	worldPeersGen.Add(1)
+}
+
 // inProcPeer returns node's fabric when it is attached in this process
-// and alive, nil otherwise (see worldPeers).
+// and alive, nil otherwise (see worldPeers). The lookup is cached per
+// node and revalidated against worldPeersGen, so the round-trip path
+// pays two atomic loads instead of hashing a (dir, node) key.
 func (f *Fabric) inProcPeer(node int) *Fabric {
-	if v, ok := worldPeers.Load(peerKey{f.dirKey, node}); ok {
-		if p := v.(*Fabric); !p.closed.Load() {
-			return p
+	gen := worldPeersGen.Load()
+	s := f.peers[node].Load()
+	if s == nil || s.gen != gen {
+		s = &peerSlot{gen: gen}
+		if v, ok := worldPeers.Load(peerKey{f.dirKey, node}); ok {
+			s.peer = v.(*Fabric)
 		}
+		f.peers[node].Store(s)
+	}
+	if p := s.peer; p != nil && !p.closed.Load() {
+		return p
 	}
 	return nil
 }

@@ -17,8 +17,11 @@
 package ror
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,6 +54,51 @@ var (
 	ErrUnbound = errors.New("ror: function not bound")
 )
 
+// FramedHandler is a Handler that writes the response status byte
+// itself: its output starts with the buffer Reply returns, so the server
+// stub ships it as-is instead of copying the payload behind a status
+// byte. Containers bind their hot verbs this way with BindFramed. A
+// framed response may be a shared reply that no one writes to; the
+// engine copies it before a chained callback receives it.
+type FramedHandler func(node int, arg []byte) (framed []byte, cost int64)
+
+// Reply returns a response buffer holding the ok status byte, with
+// capacity for an n-byte payload. A FramedHandler appends its payload
+// and returns the buffer.
+func Reply(n int) []byte {
+	b := make([]byte, 1, 1+n)
+	b[0] = statusOK
+	return b
+}
+
+// binding is one registry entry: everything the engine needs to serve or
+// meter a function, computed once at Bind.
+type binding struct {
+	id   uint64
+	name string
+	h    FramedHandler // nil while only a read-through is installed
+	rt   ReadThrough
+	// hists holds "rpc.<name>" and "exec.<name>", built at Bind when the
+	// engine has a collector; without one nothing observes them and they
+	// would only hold memory.
+	hists *[2]string
+}
+
+// hist names histogram i of hists ("rpc." or "exec." prefix).
+func (b *binding) hist(i int, prefix string) string {
+	if b.hists != nil {
+		return b.hists[i]
+	}
+	return prefix + b.name
+}
+
+// registry is an immutable registry snapshot, sorted by id.
+type registry []binding
+
+func (r registry) find(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(r, id, func(b binding, id uint64) int { return cmp.Compare(b.id, id) })
+}
+
 // Engine is the RoR runtime for one provider. Bind registers functions;
 // Invoke ships them. An Engine is safe for concurrent use.
 type Engine struct {
@@ -58,15 +106,12 @@ type Engine struct {
 
 	collector atomic.Pointer[metrics.Collector]
 	tracer    atomic.Pointer[trace.Tracer]
+	opts      atomic.Pointer[fabric.Options]
 
-	optMu sync.RWMutex
-	opts  fabric.Options
-
-	mu  sync.RWMutex
-	fns map[string]Handler
-
-	rtMu        sync.RWMutex
-	readThrough map[string]ReadThrough
+	// reg is the copy-on-write registry snapshot: callers read it with
+	// one atomic load; regMu serializes writers.
+	regMu sync.Mutex
+	reg   atomic.Pointer[registry]
 }
 
 // ReadThrough is a client-side shortcut consulted before an invocation is
@@ -80,24 +125,63 @@ type ReadThrough func(arg []byte) ([]byte, bool)
 // SetReadThrough installs (or, with nil, removes) the read-through
 // shortcut for fn.
 func (e *Engine) SetReadThrough(fn string, h ReadThrough) {
-	e.rtMu.Lock()
-	if e.readThrough == nil {
-		e.readThrough = make(map[string]ReadThrough)
+	e.update(fn, func(b *binding) { b.rt = h })
+}
+
+// binding reports the registry entry for id, or nil.
+func (e *Engine) binding(id uint64) *binding {
+	r := *e.reg.Load()
+	if i, ok := r.find(id); ok {
+		return &r[i]
 	}
-	if h == nil {
-		delete(e.readThrough, fn)
-	} else {
-		e.readThrough[fn] = h
+	return nil
+}
+
+// update applies edit to a copy of fn's binding (a fresh one when fn has
+// none) and publishes a new registry snapshot; a binding left with
+// neither handler nor read-through is dropped. Two names hashing to one
+// id is a configuration error that would misroute calls, so it panics.
+func (e *Engine) update(fn string, edit func(*binding)) {
+	id := FnID(fn)
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	old := *e.reg.Load()
+	i, found := old.find(id)
+	b := binding{id: id, name: fn}
+	rest := old[i:]
+	if found {
+		if old[i].name != fn {
+			panic(fmt.Sprintf("ror: function %q collides with bound %q on id %#016x", fn, old[i].name, id))
+		}
+		b = old[i]
+		rest = old[i+1:]
 	}
-	e.rtMu.Unlock()
+	edit(&b)
+	if b.hists == nil && e.collector.Load() != nil {
+		b.hists = &[2]string{"rpc." + fn, "exec." + fn}
+	}
+	next := append(make(registry, 0, len(old)+1), old[:i]...)
+	if b.h != nil || b.rt != nil {
+		next = append(next, b)
+	}
+	next = append(next, rest...)
+	e.reg.Store(&next)
 }
 
 // readThroughFor reports fn's installed shortcut, or nil.
 func (e *Engine) readThroughFor(fn string) ReadThrough {
-	e.rtMu.RLock()
-	h := e.readThrough[fn]
-	e.rtMu.RUnlock()
-	return h
+	if b := e.binding(FnID(fn)); b != nil {
+		return b.rt
+	}
+	return nil
+}
+
+// rpcHist names the client-side latency histogram of fn.
+func (e *Engine) rpcHist(fn string) string {
+	if b := e.binding(FnID(fn)); b != nil {
+		return b.hist(0, "rpc.")
+	}
+	return "rpc." + fn
 }
 
 // immediateFuture returns an already-completed future (read-through hits).
@@ -110,7 +194,9 @@ func immediateFuture(resp []byte, readyAt int64) *Future {
 // NewEngine creates an engine and installs its dispatcher on every node of
 // the provider.
 func NewEngine(prov fabric.Provider) *Engine {
-	e := &Engine{prov: prov, fns: make(map[string]Handler)}
+	e := &Engine{prov: prov}
+	e.reg.Store(&registry{})
+	e.opts.Store(&fabric.Options{})
 	for n := 0; n < prov.NumNodes(); n++ {
 		node := n
 		prov.SetDispatcher(node, func(req []byte) ([]byte, int64) {
@@ -151,18 +237,10 @@ func (e *Engine) count(kind metrics.Kind, node int, c Caller, v float64) {
 // SetDefaultOptions installs engine-wide per-operation fabric options
 // (deadline, attempt budget, RPC-retry opt-in) applied to every
 // invocation. A caller implementing OptionsCarrier overrides them per op.
-func (e *Engine) SetDefaultOptions(o fabric.Options) {
-	e.optMu.Lock()
-	e.opts = o
-	e.optMu.Unlock()
-}
+func (e *Engine) SetDefaultOptions(o fabric.Options) { e.opts.Store(&o) }
 
 // DefaultOptions reports the engine-wide options.
-func (e *Engine) DefaultOptions() fabric.Options {
-	e.optMu.RLock()
-	defer e.optMu.RUnlock()
-	return e.opts
-}
+func (e *Engine) DefaultOptions() fabric.Options { return *e.opts.Load() }
 
 // providerFor resolves the provider view an invocation by c should travel
 // on: the engine defaults overlaid with the caller's own options.
@@ -175,33 +253,38 @@ func (e *Engine) providerFor(c Caller) fabric.Provider {
 }
 
 // Bind maps name to handler in the invocation registry (the paper's
-// bind()). Rebinding a name replaces the handler.
+// bind()). Rebinding a name replaces the handler. The name's wire id is
+// FnID(name); Bind panics if a different bound name has the same id.
 func (e *Engine) Bind(name string, h Handler) {
-	e.mu.Lock()
-	e.fns[name] = h
-	e.mu.Unlock()
+	BindFramed(e, name, func(node int, arg []byte) ([]byte, int64) {
+		resp, cost := h(node, arg)
+		return encodeResponse(resp, nil), cost
+	})
+}
+
+// BindFramed is Bind for a handler that builds its response behind the
+// status byte itself (see FramedHandler).
+func BindFramed(e *Engine, name string, h FramedHandler) {
+	e.update(name, func(b *binding) { b.h = h })
 }
 
 // Unbind removes a bound function.
 func (e *Engine) Unbind(name string) {
-	e.mu.Lock()
-	delete(e.fns, name)
-	e.mu.Unlock()
+	e.update(name, func(b *binding) { b.h = nil })
 }
 
 // Bound reports whether name is currently bound.
 func (e *Engine) Bound(name string) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	_, ok := e.fns[name]
-	return ok
+	b := e.binding(FnID(name))
+	return b != nil && b.h != nil
 }
 
-func (e *Engine) lookup(name string) (Handler, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	h, ok := e.fns[name]
-	return h, ok
+// lookup resolves a wire id to its bound handler.
+func (e *Engine) lookup(id uint64) (*binding, error) {
+	if b := e.binding(id); b != nil && b.h != nil {
+		return b, nil
+	}
+	return nil, fmt.Errorf("%w: id %#016x", ErrUnbound, id)
 }
 
 // dispatch is the server stub: it demarshals the request, runs the main
@@ -228,24 +311,24 @@ func (e *Engine) dispatch(node int, req []byte) (resp []byte, cost int64) {
 
 // runHandler executes one bound function, observing its wall execution
 // time into the exec.<fn> histogram and, for traced requests, recording a
-// container.exec span under the operation's root.
-func (e *Engine) runHandler(node int, fn string, arg []byte, h Handler, tc trace.Ctx) ([]byte, int64) {
+// container.exec span under the operation's root. The response is framed.
+func (e *Engine) runHandler(node int, b *binding, arg []byte, tc trace.Ctx) ([]byte, int64) {
 	col := e.collector.Load()
 	tr := e.tracer.Load()
 	traced := tr != nil && tc.Valid()
 	if col == nil && !traced {
-		return h(node, arg)
+		return b.h(node, arg)
 	}
 	t0 := trace.NowNS()
-	resp, cost := h(node, arg)
+	resp, cost := b.h(node, arg)
 	t1 := trace.NowNS()
 	if col != nil {
-		col.Observe("exec."+fn, t1-t0)
+		col.Observe(b.hist(1, "exec."), t1-t0)
 	}
 	if traced {
 		tr.Record(trace.Span{
 			TraceID: tc.TraceID, ID: tr.NewID(), Parent: tc.Parent,
-			Name: "container.exec", Verb: fn, Node: node,
+			Name: "container.exec", Verb: b.name, Node: node,
 			Attempt: int(tc.Attempt), Start: t0, End: t1,
 		})
 	}
@@ -256,43 +339,51 @@ func (e *Engine) runHandler(node int, fn string, arg []byte, h Handler, tc trace
 // feeding every callback the previous stage's response (the paper's
 // "conditional execution of multiple operations in one call").
 func (e *Engine) runChain(node int, call request) ([]byte, int64) {
+	if len(call.chain) == 0 {
+		return encodeResponse(nil, errors.New("ror: empty call chain")), 0
+	}
 	arg := call.arg
 	var total int64
-	for i, name := range call.chain {
-		h, ok := e.lookup(name)
-		if !ok {
-			return encodeResponse(nil, fmt.Errorf("%w: %q", ErrUnbound, name)), total
+	for p := 0; ; p += idLen {
+		b, err := e.lookup(binary.LittleEndian.Uint64(call.chain[p:]))
+		if err != nil {
+			return encodeResponse(nil, err), total
 		}
-		resp, cost := e.runHandler(node, name, arg, h, call.tc)
+		resp, cost := e.runHandler(node, b, arg, call.tc)
 		total += cost
-		if i == len(call.chain)-1 {
-			return encodeResponse(resp, nil), total
+		if p+idLen == len(call.chain) {
+			return resp, total
 		}
-		arg = resp
+		// A framed handler may answer with a shared, read-only reply; the
+		// next stage (a user callback) gets its own copy.
+		arg = append([]byte(nil), resp[1:]...)
 	}
-	return encodeResponse(nil, errors.New("ror: empty call chain")), 0
 }
 
 // runBatch executes an aggregated request: every sub-call runs back to
 // back on the NIC core, and the sub-responses travel back together.
 func (e *Engine) runBatch(node int, call request) ([]byte, int64) {
 	var total int64
-	resps := make([][]byte, len(call.batch))
-	for i, sub := range call.batch {
-		h, ok := e.lookup(sub.fn)
-		if !ok {
-			return encodeResponse(nil, fmt.Errorf("%w: %q", ErrUnbound, sub.fn)), total
+	resps := make([][]byte, call.count)
+	recs := call.arg
+	for i := range resps {
+		id, arg, rest, _ := nextSub(recs) // validated by decodeRequest
+		recs = rest
+		b, err := e.lookup(id)
+		if err != nil {
+			return encodeResponse(nil, err), total
 		}
-		resp, cost := e.runHandler(node, sub.fn, sub.arg, h, call.tc)
+		resp, cost := e.runHandler(node, b, arg, call.tc)
 		total += cost
-		resps[i] = resp
+		resps[i] = resp[1:]
 	}
 	return encodeResponse(encodeBatchResponses(resps), nil), total
 }
 
 // Invoke synchronously calls fn at node with arg: the caller blocks until
 // the pulled response is available (paper Section III-C4, synchronous
-// timing of the future).
+// timing of the future). On in-process transports the response of a
+// FramedHandler may be a shared reply: read it, do not write to it.
 func (e *Engine) Invoke(c Caller, node int, fn string, arg []byte) ([]byte, error) {
 	return e.InvokeChain(c, node, []string{fn}, arg)
 }
@@ -303,6 +394,22 @@ func (e *Engine) InvokeChain(c Caller, node int, chain []string, arg []byte) ([]
 	if len(chain) == 0 {
 		return nil, errors.New("ror: empty chain")
 	}
+	return e.invoke(c, node, chain, arg, nil)
+}
+
+// InvokeInPlace is Invoke for an argument appended to an ArgBuf: the
+// request header is written into the buffer's headroom, so the argument
+// travels without being copied into a request buffer. Batch arguments
+// (vector pushes) use it. The call takes ownership of buf.
+func InvokeInPlace(e *Engine, c Caller, node int, fn string, buf []byte) ([]byte, error) {
+	return e.invoke(c, node, []string{fn}, nil, buf)
+}
+
+// invoke runs a synchronous call of chain with arg, or of a single
+// function with the argument in the ArgBuf buf. Two parameters, not a
+// flag: buf becomes the frame and escapes, arg is only copied, so a
+// caller's stack-held argument stays on its stack.
+func (e *Engine) invoke(c Caller, node int, chain []string, arg, buf []byte) ([]byte, error) {
 	clk := c.Clock()
 	col := e.collector.Load()
 	tr := e.tracer.Load()
@@ -313,8 +420,15 @@ func (e *Engine) InvokeChain(c Caller, node int, chain []string, arg []byte) ([]
 		tc, rootID = tr.StartTrace()
 		clk.SetTrace(tc)
 	}
-	req := encodeCallBuf(chain, arg, tc)
-	raw, err := e.providerFor(c).RoundTrip(clk, c.Ref(), node, req.b)
+	var req *encBuf
+	var frame []byte
+	if buf != nil {
+		frame = encodeCallInPlace(chain[0], buf, tc)
+	} else {
+		req = encodeCallBuf(chain, arg, tc)
+		frame = req.b
+	}
+	raw, err := e.providerFor(c).RoundTrip(clk, c.Ref(), node, frame)
 	if tr != nil {
 		clk.SetTrace(trace.Ctx{})
 		tr.FinishRoot(trace.Span{
@@ -323,7 +437,7 @@ func (e *Engine) InvokeChain(c Caller, node int, chain []string, arg []byte) ([]
 		})
 	}
 	if col != nil {
-		col.Observe("rpc."+chain[0], clk.Now()-start)
+		col.Observe(e.rpcHist(chain[0]), clk.Now()-start)
 	}
 	if err != nil {
 		// The transport may still hold the request (e.g. queued behind a
@@ -377,6 +491,12 @@ func (e *Engine) InvokeAsync(c Caller, node int, fn string, arg []byte) *Future 
 // from the future's Wait, never as a hang.
 func (e *Engine) InvokeChainAsync(c Caller, node int, chain []string, arg []byte) *Future {
 	f := &Future{done: make(chan struct{})}
+	if len(chain) == 0 {
+		f.err = errors.New("ror: empty chain")
+		f.readyAt = c.Clock().Now()
+		close(f.done)
+		return f
+	}
 	side := fabric.NewClock(c.Clock().Now())
 	ref := c.Ref()
 	col := e.collector.Load()
@@ -390,6 +510,7 @@ func (e *Engine) InvokeChainAsync(c Caller, node int, chain []string, arg []byte
 	req := encodeCallBuf(chain, arg, tc)
 	prov := e.providerFor(c)
 	start := side.Now()
+	fn := chain[0] // the goroutine keeps the name, not the caller's slice
 	go func() {
 		defer close(f.done)
 		raw, err := prov.RoundTrip(side, ref, node, req.b)
@@ -402,12 +523,12 @@ func (e *Engine) InvokeChainAsync(c Caller, node int, chain []string, arg []byte
 		f.readyAt = side.Now()
 		if tr != nil {
 			tr.FinishRoot(trace.Span{
-				TraceID: tc.TraceID, ID: rootID, Name: "rpc.async", Verb: chain[0],
+				TraceID: tc.TraceID, ID: rootID, Name: "rpc.async", Verb: fn,
 				Node: node, Start: start, End: side.Now(),
 			})
 		}
 		if col != nil {
-			col.Observe("rpc."+chain[0], side.Now()-start)
+			col.Observe(e.rpcHist(fn), side.Now()-start)
 		}
 	}()
 	return f

@@ -316,3 +316,18 @@ func TestWireCorruptionHandled(t *testing.T) {
 		t.Fatalf("engine wedged after garbage: %q %v", resp, err)
 	}
 }
+
+func TestInvokeInPlace(t *testing.T) {
+	e, f := newTestEngine(2)
+	defer f.Close()
+	e.Bind("upper", func(node int, arg []byte) ([]byte, int64) {
+		return []byte(strings.ToUpper(string(arg))), 10
+	})
+	resp, err := InvokeInPlace(e, caller(0), 1, "upper", append(ArgBuf(3), "hcl"...))
+	if err != nil || string(resp) != "HCL" {
+		t.Fatalf("InvokeInPlace = %q, %v", resp, err)
+	}
+	if _, err := InvokeInPlace(e, caller(0), 1, "nope", ArgBuf(0)); err == nil || !strings.Contains(err.Error(), "not bound") {
+		t.Fatalf("unbound: err = %v", err)
+	}
+}

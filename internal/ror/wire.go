@@ -11,12 +11,20 @@ import (
 
 // Wire format. Requests:
 //
-//	call:  [kind=0][nchain u8]([len u16][name])...[arg]
-//	batch: [kind=1][count u32]([fnlen u16][fn][arglen u32][arg])...
+//	call:  [kind=0][nchain u8]([id u64])...[arg]
+//	batch: [kind=1][count u32]([id u64][arglen u32][arg])...
+//
+// A function travels as its 64-bit id, the FNV-1a hash of its bound name
+// (FnID), never as the name itself: every process derives the same id
+// from the same name, so no bind-order agreement is needed. The client
+// hashes the name on each call; the server resolves the id with one
+// atomic load of the registry snapshot and a binary search of its
+// id-sorted bindings, without allocating. Bind panics when two
+// different names hash to one id.
 //
 // A traced request sets kindTraceFlag on the kind byte and inserts a
 // trace.CtxWireLen-byte trace context between the kind byte and the
-// body. Untraced requests are byte-identical to the pre-tracing format.
+// body. Untraced requests carry no context bytes.
 //
 // Responses:
 //
@@ -33,21 +41,41 @@ const (
 
 	statusOK  = 0
 	statusErr = 1
+
+	idLen = 8
 )
+
+// FnID is the wire id of the function bound under name: the 64-bit
+// FNV-1a hash of its bytes.
+func FnID(name string) uint64 { return FNV1a(name) }
+
+// FNV1a is the 64-bit FNV-1a hash of b, computed inline so that hashing
+// a key or a name never allocates.
+func FNV1a[T ~string | ~[]byte](b T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
+	return h
+}
 
 type subCall struct {
 	fn  string
 	arg []byte
 }
 
+// request is a decoded, fully validated request frame. Its slices alias
+// the frame; walking them again cannot fail.
 type request struct {
 	kind  byte
-	chain []string
-	arg   []byte
-	batch []subCall
-	tc    trace.Ctx // zero when the request was untraced
+	chain []byte // call: nchain ids, idLen bytes each
+	arg   []byte // call: the argument; batch: the sub-call records
+	count int    // batch: number of sub-call records
+	tc    trace.Ctx
 }
 
+// errTruncated is the error every malformed request frame decodes to.
 var errTruncated = errors.New("ror: truncated request")
 
 func errBatchFanout(got, want int) error {
@@ -85,65 +113,78 @@ func (eb *encBuf) release() {
 	encPool.Put(eb)
 }
 
+// putHeader writes the kind byte and, for a valid trace context, the flag
+// and the context, returning the body offset.
+func putHeader(b []byte, kind byte, tc trace.Ctx) int {
+	b[0] = kind
+	if !tc.Valid() {
+		return 1
+	}
+	b[0] |= kindTraceFlag
+	trace.PutCtx(b[1:], tc)
+	return 1 + trace.CtxWireLen
+}
+
+func headerLen(tc trace.Ctx) int {
+	if tc.Valid() {
+		return 1 + trace.CtxWireLen
+	}
+	return 1
+}
+
 // encodeCallBuf marshals a call request into an exactly-sized pooled
-// buffer. A valid trace context flags the kind byte and rides between it
-// and the body; the zero context produces the legacy encoding unchanged.
+// buffer.
 func encodeCallBuf(chain []string, arg []byte, tc trace.Ctx) *encBuf {
-	hdr := 2
-	if tc.Valid() {
-		hdr += trace.CtxWireLen
-	}
-	n := hdr
-	for _, s := range chain {
-		n += 2 + len(s)
-	}
-	eb := grabEnc(n + len(arg))
+	eb := grabEnc(headerLen(tc) + 1 + idLen*len(chain) + len(arg))
 	b := eb.b
-	b[0] = kindCall
-	p := 1
-	if tc.Valid() {
-		b[0] |= kindTraceFlag
-		trace.PutCtx(b[p:], tc)
-		p += trace.CtxWireLen
-	}
+	p := putHeader(b, kindCall, tc)
 	b[p] = byte(len(chain))
 	p++
 	for _, s := range chain {
-		binary.LittleEndian.PutUint16(b[p:], uint16(len(s)))
-		p += 2
-		p += copy(b[p:], s)
+		binary.LittleEndian.PutUint64(b[p:], FnID(s))
+		p += idLen
 	}
 	copy(b[p:], arg)
 	return eb
 }
 
+// ArgHeadroom is the room an InvokeInPlace argument buffer reserves in
+// front of the argument: the largest single-call header (kind byte,
+// trace context, chain length, one id).
+const ArgHeadroom = 1 + trace.CtxWireLen + 1 + idLen
+
+// ArgBuf returns an empty InvokeInPlace argument buffer: ArgHeadroom
+// reserved bytes, with capacity for an n-byte argument appended behind
+// them.
+func ArgBuf(n int) []byte { return make([]byte, ArgHeadroom, ArgHeadroom+n) }
+
+// encodeCallInPlace writes fn's call header into buf's headroom, right
+// against the argument, and returns the frame: the argument is not
+// copied, and the frame is the caller's buffer, never a pooled one.
+func encodeCallInPlace(fn string, buf []byte, tc trace.Ctx) []byte {
+	b := buf[ArgHeadroom-headerLen(tc)-1-idLen:]
+	p := putHeader(b, kindCall, tc)
+	b[p] = 1
+	binary.LittleEndian.PutUint64(b[p+1:], FnID(fn))
+	return b
+}
+
 // encodeBatchBuf marshals a batch request into an exactly-sized pooled
 // buffer.
 func encodeBatchBuf(calls []subCall, tc trace.Ctx) *encBuf {
-	n := 5
-	if tc.Valid() {
-		n += trace.CtxWireLen
-	}
+	n := headerLen(tc) + 4
 	for _, c := range calls {
-		n += 6 + len(c.fn) + len(c.arg)
+		n += idLen + 4 + len(c.arg)
 	}
 	eb := grabEnc(n)
 	b := eb.b
-	b[0] = kindBatch
-	p := 1
-	if tc.Valid() {
-		b[0] |= kindTraceFlag
-		trace.PutCtx(b[p:], tc)
-		p += trace.CtxWireLen
-	}
+	p := putHeader(b, kindBatch, tc)
 	binary.LittleEndian.PutUint32(b[p:], uint32(len(calls)))
 	p += 4
 	for _, c := range calls {
-		binary.LittleEndian.PutUint16(b[p:], uint16(len(c.fn)))
-		p += 2
-		p += copy(b[p:], c.fn)
-		binary.LittleEndian.PutUint32(b[p:], uint32(len(c.arg)))
-		p += 4
+		binary.LittleEndian.PutUint64(b[p:], FnID(c.fn))
+		binary.LittleEndian.PutUint32(b[p+idLen:], uint32(len(c.arg)))
+		p += idLen + 4
 		p += copy(b[p:], c.arg)
 	}
 	return eb
@@ -163,6 +204,9 @@ func encodeBatch(calls []subCall) []byte {
 	return out
 }
 
+// decodeRequest validates a request frame without allocating. Any
+// malformed frame yields errTruncated; an unknown kind decodes and is
+// rejected by dispatch.
 func decodeRequest(b []byte) (request, error) {
 	if len(b) < 1 {
 		return request{}, errTruncated
@@ -178,18 +222,21 @@ func decodeRequest(b []byte) (request, error) {
 		}
 		body = body[trace.CtxWireLen:]
 	}
+	var r request
+	var err error
 	switch kind {
 	case kindCall:
-		r, err := decodeCallRequest(body)
-		r.tc = tc
-		return r, err
+		r, err = decodeCallRequest(body)
 	case kindBatch:
-		r, err := decodeBatchRequest(body)
-		r.tc = tc
-		return r, err
+		r, err = decodeBatchRequest(body)
 	default:
-		return request{kind: kind, tc: tc}, nil
+		r = request{kind: kind}
 	}
+	if err != nil {
+		return request{}, err
+	}
+	r.tc = tc
+	return r, nil
 }
 
 // decodeCallRequest parses a call body (everything after the kind byte
@@ -198,53 +245,43 @@ func decodeCallRequest(b []byte) (request, error) {
 	if len(b) < 1 {
 		return request{}, errTruncated
 	}
-	nchain := int(b[0])
-	p := 1
-	chain := make([]string, 0, nchain)
-	for i := 0; i < nchain; i++ {
-		if p+2 > len(b) {
-			return request{}, errTruncated
-		}
-		l := int(binary.LittleEndian.Uint16(b[p:]))
-		p += 2
-		if p+l > len(b) {
-			return request{}, errTruncated
-		}
-		chain = append(chain, string(b[p:p+l]))
-		p += l
+	end := 1 + idLen*int(b[0])
+	if end > len(b) {
+		return request{}, errTruncated
 	}
-	return request{kind: kindCall, chain: chain, arg: b[p:]}, nil
+	return request{kind: kindCall, chain: b[1:end], arg: b[end:]}, nil
 }
 
 // decodeBatchRequest parses a batch body (everything after the kind byte
-// and optional trace context).
+// and optional trace context), checking every sub-call record's bounds.
 func decodeBatchRequest(b []byte) (request, error) {
 	if len(b) < 4 {
 		return request{}, errTruncated
 	}
 	count := int(binary.LittleEndian.Uint32(b))
-	p := 4
-	batch := make([]subCall, 0, count)
+	recs := b[4:]
+	rest := recs
 	for i := 0; i < count; i++ {
-		if p+2 > len(b) {
+		var ok bool
+		if _, _, rest, ok = nextSub(rest); !ok {
 			return request{}, errTruncated
 		}
-		fl := int(binary.LittleEndian.Uint16(b[p:]))
-		p += 2
-		if p+fl+4 > len(b) {
-			return request{}, errTruncated
-		}
-		fn := string(b[p : p+fl])
-		p += fl
-		al := int(binary.LittleEndian.Uint32(b[p:]))
-		p += 4
-		if p+al > len(b) {
-			return request{}, errTruncated
-		}
-		batch = append(batch, subCall{fn: fn, arg: b[p : p+al]})
-		p += al
 	}
-	return request{kind: kindBatch, batch: batch}, nil
+	return request{kind: kindBatch, arg: recs, count: count}, nil
+}
+
+// nextSub splits the first [id][arglen][arg] record off b.
+func nextSub(b []byte) (id uint64, arg, rest []byte, ok bool) {
+	if len(b) < idLen+4 {
+		return 0, nil, nil, false
+	}
+	id = binary.LittleEndian.Uint64(b)
+	al := uint64(binary.LittleEndian.Uint32(b[idLen:]))
+	b = b[idLen+4:]
+	if al > uint64(len(b)) {
+		return 0, nil, nil, false
+	}
+	return id, b[:al], b[al:], true
 }
 
 func encodeResponse(payload []byte, err error) []byte {

@@ -2,8 +2,16 @@ package ror
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"hcl/internal/fabric"
+	"hcl/internal/fabric/simfab"
+	"hcl/internal/trace"
 )
 
 func TestCallWireRoundTrip(t *testing.T) {
@@ -25,11 +33,12 @@ func TestCallWireRoundTrip(t *testing.T) {
 		if err != nil || req.kind != kindCall {
 			return false
 		}
-		if len(req.chain) != len(chain) {
+		ids := req.ids()
+		if len(ids) != len(chain) {
 			return false
 		}
 		for i := range chain {
-			if req.chain[i] != chain[i] {
+			if ids[i] != FnID(chain[i]) {
 				return false
 			}
 		}
@@ -61,12 +70,13 @@ func TestBatchWireRoundTrip(t *testing.T) {
 			return true
 		}
 		req, err := decodeRequest(encodeBatch(calls))
-		if err != nil || req.kind != kindBatch || len(req.batch) != len(calls) {
+		subs := req.subs()
+		if err != nil || req.kind != kindBatch || len(subs) != len(calls) {
 			return false
 		}
 		for i, c := range calls {
-			if req.batch[i].fn != c.fn || !bytes.Equal(req.batch[i].arg, c.arg) {
-				if !(len(req.batch[i].arg) == 0 && len(c.arg) == 0) {
+			if subs[i].id != FnID(c.fn) || !bytes.Equal(subs[i].arg, c.arg) {
+				if !(len(subs[i].arg) == 0 && len(c.arg) == 0) {
 					return false
 				}
 			}
@@ -121,6 +131,127 @@ func TestBatchResponsesRoundTrip(t *testing.T) {
 	}
 }
 
+// ids lists a decoded call's function ids.
+func (r request) ids() []uint64 {
+	var out []uint64
+	for p := 0; p < len(r.chain); p += idLen {
+		out = append(out, binary.LittleEndian.Uint64(r.chain[p:]))
+	}
+	return out
+}
+
+type decodedSub struct {
+	id  uint64
+	arg []byte
+}
+
+// subs lists a decoded batch's sub-calls.
+func (r request) subs() []decodedSub {
+	var out []decodedSub
+	recs := r.arg
+	for i := 0; i < r.count; i++ {
+		id, arg, rest, _ := nextSub(recs)
+		recs = rest
+		out = append(out, decodedSub{id, arg})
+	}
+	return out
+}
+
 type errTestSentinel struct{}
 
 func (errTestSentinel) Error() string { return "sentinel" }
+
+// FuzzDecodeRequest: arbitrary bytes never panic the request decoder; a
+// rejected frame reports errTruncated, and an accepted one walks cleanly.
+// The seeds cover call, chained call, batch and traced frames.
+func FuzzDecodeRequest(f *testing.F) {
+	tc := trace.Ctx{TraceID: 3, Parent: 4, Attempt: 1}
+	f.Add(encodeCall([]string{"umap.kv.find"}, []byte("key")))
+	f.Add(encodeCall([]string{"a", "b", "c"}, nil))
+	f.Add(encodeBatch([]subCall{{fn: "f", arg: []byte("xyz")}, {fn: "g"}}))
+	traced := encodeCallBuf([]string{"f"}, []byte("arg"), tc)
+	f.Add(append([]byte(nil), traced.b...))
+	tracedBatch := encodeBatchBuf([]subCall{{fn: "f", arg: []byte("a")}}, tc)
+	f.Add(append([]byte(nil), tracedBatch.b...))
+	f.Add([]byte{kindBatch, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		req, err := decodeRequest(frame)
+		if err != nil {
+			if !errors.Is(err, errTruncated) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		switch req.kind {
+		case kindCall:
+			if len(req.chain)%idLen != 0 {
+				t.Fatalf("chain of %d bytes", len(req.chain))
+			}
+		case kindBatch:
+			if len(req.subs()) != req.count {
+				t.Fatalf("walked %d of %d sub-calls", len(req.subs()), req.count)
+			}
+		}
+	})
+}
+
+// An id no function is bound under yields ErrUnbound naming the id, for
+// a call and for a batch.
+func TestUnboundIDNamed(t *testing.T) {
+	e := NewEngine(simfab.New(1, fabric.DefaultCostModel()))
+	e.Bind("known", func(int, []byte) ([]byte, int64) { return nil, 0 })
+	id := FnID("unknown")
+	want := fmt.Sprintf("%#016x", id)
+	if _, err := e.lookup(id); !errors.Is(err, ErrUnbound) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("lookup = %v, want ErrUnbound naming %s", err, want)
+	}
+	for _, frame := range [][]byte{
+		encodeCall([]string{"unknown"}, nil),
+		encodeCall([]string{"known", "unknown"}, nil),
+		encodeBatch([]subCall{{fn: "known"}, {fn: "unknown"}}),
+	} {
+		resp, _ := e.dispatch(0, frame)
+		_, err := decodeResponse(resp)
+		if err == nil || !strings.Contains(err.Error(), "not bound") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("dispatch of unbound id: %v", err)
+		}
+	}
+}
+
+// Bind fails loudly when a second name would share an id; rebinding the
+// same name is fine.
+func TestBindIDCollisionPanics(t *testing.T) {
+	e := NewEngine(simfab.New(1, fabric.DefaultCostModel()))
+	h := func(int, []byte) ([]byte, int64) { return nil, 0 }
+	e.Bind("f", h)
+	e.Bind("f", h)
+	// Plant a binding under another name's id to stand in for a 64-bit
+	// hash collision, which no pair of short names produces.
+	e.update("g", func(b *binding) { b.h = func(int, []byte) ([]byte, int64) { return nil, 0 }; b.name = "not-g" })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Bind of a colliding name did not panic")
+		}
+	}()
+	e.Bind("g", h)
+}
+
+// An in-place call frame is byte-identical to the copied one, traced or
+// not, and sits at the end of the caller's buffer.
+func TestCallInPlaceMatchesCopied(t *testing.T) {
+	tr := trace.New(0)
+	traced, _ := tr.StartTrace()
+	for _, tc := range []trace.Ctx{{}, traced} {
+		for _, arg := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("batch"), 300)} {
+			buf := append(ArgBuf(len(arg)), arg...)
+			got := encodeCallInPlace("pq.q.pushN", buf, tc)
+			eb := encodeCallBuf([]string{"pq.q.pushN"}, arg, tc)
+			if !bytes.Equal(got, eb.b) {
+				t.Fatalf("traced=%v len %d: in-place %x, copied %x", tc.Valid(), len(arg), got, eb.b)
+			}
+			if &got[len(got)-1] != &buf[len(buf)-1] {
+				t.Fatal("in-place frame does not alias the argument buffer")
+			}
+		}
+	}
+}
